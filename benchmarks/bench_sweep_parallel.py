@@ -5,10 +5,11 @@ Runs the same restricted sweep three ways — cold serial, cold parallel
 the exports are byte-identical, collects per-stage synthesis timings, and
 writes everything to ``benchmarks/results/BENCH_sweep.json``.
 
-Both cold runs write through to a fresh disk cache, so the serial/parallel
-comparison isolates *engine* overhead (planning, pool spin-up or its serial
-fallback, outcome plumbing) rather than charging the parallel engine for
-the durable cache it produces and the plain serial run would skip.  Cold
+The cold serial run calls each experiment directly; the cold parallel run
+goes through :func:`repro.eval.sweep.run_sweep` with a process pool.  Both
+write through to a fresh disk cache, so the comparison isolates *engine*
+overhead (planning, pool spin-up, outcome plumbing) rather than charging
+the engine for the durable cache it produces.  Cold
 phases are timed ``REPEATS`` times each, interleaved (serial, parallel,
 serial, parallel, ...) so load drift hits both alike, with fresh caches and
 cleared memory every repetition; the best-of-N wall-clock is reported — the
@@ -34,10 +35,9 @@ Only *machine-portable ratio metrics* are gated:
 - ``msd_table_speedup_capped`` — cold MSD enumeration over warm (memoized
                         table) enumeration, saturated at 10×.
 - ``parallel_efficiency_capped`` — cold-serial over cold-parallel
-                        wall-clock, saturated at parity.  The serial-
-                        fallback heuristic keeps small cold sweeps at ~1×
-                        even on single-core runners (this metric pinned
-                        0.52× before the fallback existed).
+                        wall-clock, saturated at parity: the pool must not
+                        cost more than the threshold over in-process
+                        computation on this small sweep.
 - ``byte_identical``  — parallel and warm exports must equal serial bytes.
 
 Absolute wall-clocks, the uncapped speedups, and per-stage timings are
@@ -65,8 +65,8 @@ import time
 from repro.eval import cache as disk_cache
 from repro.eval import experiments
 from repro.eval.export import sweep_to_json
-from repro.eval.harness import run_sweep
-from repro.eval.parallel import run_sweep_parallel
+from repro.eval.harness import run_experiment
+from repro.eval.sweep import SweepOutcome, run_sweep
 
 from bench_synthesis_speed import stage_operations
 
@@ -102,9 +102,8 @@ WARM_SPEEDUP_CAP = 10.0
 GRAPH_SPEEDUP_CAP = 4.0
 MSD_SPEEDUP_CAP = 10.0
 
-# Cold parallel over serial, capped at parity: the serial-fallback
-# heuristic must keep small cold sweeps from paying pool spin-up (the
-# regression this gate pins sat at 0.52x).
+# Cold parallel over serial, capped at parity: pool spin-up must stay
+# cheap next to the work of a small cold sweep.
 PARALLEL_EFFICIENCY_CAP = 1.0
 
 #: Cold-phase timing repetitions (interleaved; best-of-N reported).
@@ -159,8 +158,8 @@ def run_benchmark(jobs: int) -> dict:
         # 1+2. Cold serial and cold parallel, interleaved.  The serial
         # reference writes through to its own fresh disk cache each
         # repetition so both cold phases do identical durable work; the
-        # parallel phase precomputes (pool, or its serial fallback on
-        # small/single-CPU configurations) into an empty disk cache.
+        # parallel phase computes in a process pool into an empty disk
+        # cache.
         serial_times = []
         parallel_times = []
         serial_json = None
@@ -171,7 +170,10 @@ def run_benchmark(jobs: int) -> dict:
             disk_cache.configure(root / f"serial-{rep}")
             gc.collect()
             started = time.perf_counter()
-            serial_outcomes = run_sweep(EXPERIMENTS, **RESTRICT)
+            serial_outcomes = [
+                SweepOutcome(i, run_experiment(i, **RESTRICT), None, None, 0.0)
+                for i in EXPERIMENTS
+            ]
             serial_times.append(time.perf_counter() - started)
             if serial_json is None:
                 serial_json = sweep_to_json(serial_outcomes)
@@ -180,7 +182,7 @@ def run_benchmark(jobs: int) -> dict:
             cache_dir = root / f"parallel-{rep}"
             gc.collect()
             started = time.perf_counter()
-            parallel_report = run_sweep_parallel(
+            parallel_report = run_sweep(
                 EXPERIMENTS, jobs=jobs, cache_dir=cache_dir, **RESTRICT
             )
             parallel_times.append(time.perf_counter() - started)
@@ -192,7 +194,7 @@ def run_benchmark(jobs: int) -> dict:
         # 3. Fully warm: memory cleared, last parallel disk cache intact.
         experiments.clear_cache()
         started = time.perf_counter()
-        warm_report = run_sweep_parallel(
+        warm_report = run_sweep(
             EXPERIMENTS, jobs=jobs, cache_dir=cache_dir, **RESTRICT
         )
         warm_s = time.perf_counter() - started

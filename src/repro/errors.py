@@ -68,7 +68,7 @@ class CoverBudgetError(BudgetExceeded, GraphError):
 class SupervisorError(ReproError):
     """The supervised sweep layer was misconfigured or cannot proceed.
 
-    Raised for contract violations of :mod:`repro.eval.supervisor` — e.g.
+    Raised for contract violations of :mod:`repro.eval.sweep` — e.g.
     ``resume=True`` without a journal directory, or a negative retry
     budget — never for worker-side failures, which are always folded into
     :class:`~repro.eval.TaskOutcome` records instead of raised.
@@ -80,7 +80,7 @@ class SweepAborted(SupervisorError):
 
     Raised between task completions when the job-level ``deadline_at``
     passes or the ``should_stop`` callback given to
-    :func:`~repro.eval.supervisor.run_sweep_supervised` returns a reason
+    :func:`~repro.eval.sweep.run_sweep` returns a reason
     (e.g. the owning service job was cancelled or expired).  Every outcome
     journaled before the abort is durable, so a later resumed run skips
     the finished work — aborting loses time, never results.

@@ -46,6 +46,7 @@ from .harness import EXPERIMENTS, paper_comparison, run_experiment
 from .export import to_csv, to_json
 from .plots import figure_chart
 from .report import format_experiment
+from .sweep import run_sweep
 
 __all__ = [
     "EXIT_OK",
@@ -150,17 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="precompute design points across N worker processes "
-             "(results are byte-identical to a serial run)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="tasks handed to a worker per dispatch during parallel "
-             "precompute (default: auto-sized from task count and pool "
-             "width)",
+        help="compute design points across N worker processes (default 1: "
+             "in-process; results are byte-identical either way; serve: "
+             "default 2)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -173,14 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-design-point solver budget during parallel precompute",
+        help="per-design-point solver budget while computing design points",
     )
     parser.add_argument(
         "--journal-dir",
         metavar="DIR",
         default=None,
         help="journal every completed design point to a crash-safe WAL "
-             "in DIR (enables the supervised engine and --resume)",
+             "in DIR (needed by --resume)",
     )
     parser.add_argument(
         "--resume",
@@ -194,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="requeue a task at most N times after worker loss before "
-             "quarantining it (supervised engine; default 2)",
+             "quarantining it (default 2)",
     )
     parser.add_argument(
         "--trace",
@@ -764,72 +757,32 @@ def _run(args: argparse.Namespace) -> int:
     experiment_ids = (
         sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     )
-    supervised = (
-        args.journal_dir is not None
-        or args.resume
-        or args.max_retries is not None
+    report = run_sweep(
+        experiment_ids,
+        filter_indices=args.filters,
+        wordlengths=args.wordlengths,
+        jobs=1 if args.jobs is None else args.jobs,
+        cache_dir=args.cache_dir,
+        task_deadline_s=args.task_deadline,
+        replay=False,
+        journal_dir=args.journal_dir,
+        resume=args.resume,
+        max_retries=2 if args.max_retries is None else args.max_retries,
     )
-    quarantined = 0
-    if supervised:
-        from .supervisor import run_sweep_supervised
-
-        report = run_sweep_supervised(
-            experiment_ids,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            filter_indices=args.filters,
-            wordlengths=args.wordlengths,
-            task_deadline_s=args.task_deadline,
-            replay=False,
-            journal_dir=args.journal_dir,
-            resume=args.resume,
-            max_retries=args.max_retries if args.max_retries is not None else 2,
-        )
-        stats = report.stats()
-        quarantined = stats["tasks_quarantined"]
-        print(
-            f"[supervised: {stats['tasks_computed']} design points with "
-            f"{report.jobs} jobs in {report.precompute_s:.2f}s; "
-            f"{stats['tasks_precached']}/{stats['tasks_planned']} cached "
-            f"({stats['tasks_resumed']} from journal); "
-            f"{stats['tasks_failed']} failed, {quarantined} quarantined, "
-            f"{stats['retries']} retries, "
-            f"{stats['pool_rebuilds']} pool rebuilds]"
-        )
-        print(
-            f"[cache: {stats['cache_put_errors']} put errors, "
-            f"{stats['cache_quarantined']} quarantined entries]"
-        )
-        for outcome in report.quarantined_tasks:
-            print(f"[quarantined: {outcome.error}]", file=sys.stderr)
-    elif args.jobs is not None or args.cache_dir is not None:
-        from .parallel import run_sweep_parallel
-
-        report = run_sweep_parallel(
-            experiment_ids,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            filter_indices=args.filters,
-            wordlengths=args.wordlengths,
-            task_deadline_s=args.task_deadline,
-            replay=False,
-            chunk_size=args.chunk_size,
-        )
-        stats = report.stats()
-        pool_note = (
-            f"pool chunk size {report.chunk_size}" if report.pool_used
-            else f"in-process ({report.fallback_reason or 'nothing pending'})"
-        )
-        print(
-            f"[precomputed {stats['tasks_computed']} design points "
-            f"with {report.jobs} jobs in {report.precompute_s:.2f}s; "
-            f"{stats['tasks_precached']}/{stats['tasks_planned']} were "
-            f"already cached; {stats['tasks_failed']} failed; {pool_note}]"
-        )
-        print(
-            f"[cache: {stats['cache_put_errors']} put errors, "
-            f"{stats['cache_quarantined']} quarantined entries]"
-        )
+    stats = report.stats()
+    quarantined = stats["tasks_quarantined"]
+    print(
+        f"[sweep: {stats['tasks_computed']} design points with "
+        f"{report.jobs} jobs in {report.precompute_s:.2f}s; "
+        f"{stats['tasks_precached']}/{stats['tasks_planned']} cached "
+        f"({stats['tasks_resumed']} from journal); "
+        f"{stats['tasks_failed']} failed, {quarantined} quarantined, "
+        f"{stats['retries']} retries, {stats['pool_rebuilds']} pool "
+        f"rebuilds; cache: {stats['cache_put_errors']} put errors, "
+        f"{stats['cache_quarantined']} quarantined entries]"
+    )
+    for outcome in report.quarantined_tasks:
+        print(f"[quarantined: {outcome.error}]", file=sys.stderr)
     for experiment_id in experiment_ids:
         result = run_experiment(
             experiment_id,

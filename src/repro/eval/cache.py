@@ -10,7 +10,7 @@ every stale entry at once.
 
 Entries are one JSON file each, sharded by key prefix, written atomically
 (tmp + rename) so concurrent writers — the process-pool workers of
-:mod:`repro.eval.parallel` — can share one directory without locks: both
+:mod:`repro.eval.sweep` — can share one directory without locks: both
 sides compute identical bytes for identical keys, so a lost race is merely a
 wasted write.
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -20,10 +19,8 @@ from .experiments import (
 __all__ = [
     "EXPERIMENTS",
     "PAPER_CLAIMS",
-    "SweepOutcome",
     "paper_comparison",
     "run_experiment",
-    "run_sweep",
 ]
 
 
@@ -102,91 +99,6 @@ def run_experiment(
     if wordlengths is not None and experiment_id != "table1":
         kwargs["wordlengths"] = wordlengths
     return registered.runner(**kwargs)
-
-
-@dataclass(frozen=True)
-class SweepOutcome:
-    """One experiment's fate inside a robust sweep."""
-
-    experiment_id: str
-    result: Optional[ExperimentResult]
-    error_type: Optional[str]
-    error: Optional[str]
-    elapsed_s: float
-
-    @property
-    def ok(self) -> bool:
-        """True when the experiment completed and produced a result."""
-        return self.result is not None
-
-
-def run_sweep(
-    experiment_ids: Optional[Sequence[str]] = None,
-    robust: bool = True,
-    filter_indices: Optional[Sequence[int]] = None,
-    wordlengths: Optional[Sequence[int]] = None,
-    jobs: Optional[int] = None,
-    cache_dir=None,
-    task_deadline_s: Optional[float] = None,
-) -> Tuple[SweepOutcome, ...]:
-    """Run several experiments, surviving individual-instance failures.
-
-    With ``robust`` (default) an experiment that raises — a solver blowup, a
-    validation failure, an injected fault — is recorded as a failed
-    :class:`SweepOutcome` and the sweep continues, so one pathological
-    instance no longer aborts a whole benchmark run.  With ``robust=False``
-    the first failure propagates (the historical behavior).
-
-    ``jobs``, ``cache_dir``, and ``task_deadline_s`` hand the sweep to
-    :func:`repro.eval.parallel.run_sweep_parallel`: design points are
-    precomputed across a process pool and/or a persistent disk cache, then
-    the experiments replay serially over the warm caches — the returned
-    outcomes are byte-identical to a plain serial run.
-    """
-    if jobs is not None or cache_dir is not None or task_deadline_s is not None:
-        from .parallel import run_sweep_parallel
-
-        return run_sweep_parallel(
-            experiment_ids,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            robust=robust,
-            filter_indices=filter_indices,
-            wordlengths=wordlengths,
-            task_deadline_s=task_deadline_s,
-        ).outcomes
-    ids = (
-        list(experiment_ids) if experiment_ids is not None
-        else sorted(EXPERIMENTS)
-    )
-    outcomes = []
-    for experiment_id in ids:
-        started = time.monotonic()
-        try:
-            result = run_experiment(experiment_id, filter_indices, wordlengths)
-        except Exception as exc:  # noqa: BLE001 — robust sweeps must survive
-            if not robust:
-                raise
-            outcomes.append(
-                SweepOutcome(
-                    experiment_id=experiment_id,
-                    result=None,
-                    error_type=type(exc).__name__,
-                    error=str(exc),
-                    elapsed_s=time.monotonic() - started,
-                )
-            )
-            continue
-        outcomes.append(
-            SweepOutcome(
-                experiment_id=experiment_id,
-                result=result,
-                error_type=None,
-                error=None,
-                elapsed_s=time.monotonic() - started,
-            )
-        )
-    return tuple(outcomes)
 
 
 def paper_comparison(result: ExperimentResult) -> Tuple[Tuple[str, float, float], ...]:

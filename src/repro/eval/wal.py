@@ -1,6 +1,6 @@
 """Generic checksummed, fsync'd, append-only write-ahead log.
 
-Extracted from :class:`repro.eval.supervisor.SweepJournal` so every durable
+Extracted from :class:`repro.eval.sweep.SweepJournal` so every durable
 log in the system — the sweep journal, the service job store — shares one
 crash-safety story instead of re-deriving it:
 

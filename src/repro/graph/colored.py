@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import GraphError
+from ..fastpath import graph_kernel
+from ..fastpath.graphbuild import build_graph_fast
 from ..numrep import Representation, digit_cost, oddpart
 from ..obs import span as obs_span
 
@@ -216,8 +218,6 @@ def build_colored_graph(
     vertex_list = sorted(set(vertices))
     if max_shift < 0:
         raise GraphError(f"max_shift must be >= 0, got {max_shift}")
-    from ..fastpath import graph_kernel
-
     kernel = graph_kernel()
     with obs_span(
         "graph.build",
@@ -228,8 +228,6 @@ def build_colored_graph(
     ):
         if kernel == "off":
             return _build_edges(vertex_list, max_shift, representation, budget)
-        from ..fastpath.graphbuild import build_graph_fast
-
         return build_graph_fast(
             vertex_list, max_shift, representation, budget, kernel
         )

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..errors import GraphError
 from ..obs import span as obs_span
 from .colored import ColorEdge, ColoredGraph
@@ -214,14 +212,31 @@ def _choose_root(
     the smallest remaining vertex, the vertex of minimum eccentricity wins
     (smallest value breaks ties).
     """
-    undirected = nx.Graph()
-    undirected.add_nodes_from(unassigned)
+    neighbors: Dict[int, Set[int]] = {v: set() for v in unassigned}
     for color in colors:
         for edge in graph.edges_of_color(color):
             if edge.src in unassigned and edge.dst in unassigned:
-                undirected.add_edge(edge.src, edge.dst)
-    anchor = min(unassigned)
-    component = nx.node_connected_component(undirected, anchor)
-    subgraph = undirected.subgraph(component)
-    eccentricities = nx.eccentricity(subgraph)
-    return min(sorted(component), key=lambda v: (eccentricities[v], v))
+                neighbors[edge.src].add(edge.dst)
+                neighbors[edge.dst].add(edge.src)
+    component = _hop_distances(neighbors, min(unassigned))
+    eccentricities = {
+        v: max(_hop_distances(neighbors, v).values()) for v in component
+    }
+    return min(component, key=lambda v: (eccentricities[v], v))
+
+
+def _hop_distances(
+    neighbors: Dict[int, Set[int]], source: int
+) -> Dict[int, int]:
+    """BFS hop distance from ``source`` to every vertex it reaches."""
+    distances = {source: 0}
+    frontier = [source]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in neighbors[u]:
+                if v not in distances:
+                    distances[v] = distances[u] + 1
+                    reached.append(v)
+        frontier = reached
+    return distances

@@ -21,7 +21,7 @@ actually fired for test assertions.
 
 Beyond in-process stage faults, :class:`ProcessFaultPlan` describes
 *process-level* fault schedules for the supervised sweep layer
-(:mod:`repro.eval.supervisor`): seeded worker SIGKILLs, injected slow tasks,
+(:mod:`repro.eval.sweep`): seeded worker SIGKILLs, injected slow tasks,
 and cache-write corruption / ENOSPC simulation.  Decisions are pure
 functions of ``(seed, task key, attempt)`` via SHA-256 — independent of
 execution order, interning, or ``PYTHONHASHSEED`` — so a fault sequence

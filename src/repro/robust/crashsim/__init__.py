@@ -16,7 +16,7 @@ Pieces:
   passthrough default, the recording :class:`SimDisk`, and the chaos
   wrappers (:class:`BrokenFsyncFabric`, :class:`FaultPointFabric`).
   Threaded under :class:`repro.eval.wal.ChecksumLog` (and through it the
-  :class:`repro.eval.supervisor.SweepJournal`), the
+  :class:`repro.eval.sweep.SweepJournal`), the
   :class:`repro.service.store.JobStore`, and the
   :class:`repro.eval.cache.DiskCache`.
 * :mod:`.model` — the abstract filesystem model: replay an op log,

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ...errors import JobStateError, JournalError
 from ...eval.cache import DiskCache
-from ...eval.supervisor import SweepJournal
+from ...eval.sweep import SweepJournal
 from ...eval.wal import ChecksumLog
 from ...service.store import JobSpec, JobState, JobStore
 
@@ -132,7 +132,7 @@ def _wal_check(
 # -- SweepJournal --------------------------------------------------------------
 
 def _journal_outcomes():
-    from ...eval.parallel import SweepTask, TaskOutcome
+    from ...eval.sweep import SweepTask, TaskOutcome
 
     tasks = [
         SweepTask(
@@ -155,7 +155,7 @@ def _journal_outcomes():
 
 
 def _journal_signature() -> str:
-    from ...eval.supervisor import sweep_signature
+    from ...eval.sweep import sweep_signature
 
     return sweep_signature(["fig6"], [0], [8])
 

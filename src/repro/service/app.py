@@ -7,19 +7,15 @@ Layering (each piece is independently testable):
   :class:`~repro.service.queue.FairQueue`, the
   :class:`~repro.service.admission.AdmissionController`, the deadline
   :class:`~repro.service.budgets.Reaper`, and the dispatcher threads that
-  run accepted jobs through
-  :func:`~repro.eval.supervisor.run_sweep_supervised`.  It knows nothing
-  about HTTP.
+  run accepted jobs through :func:`~repro.eval.sweep.run_sweep`.  It knows
+  nothing about HTTP.
 
 * :class:`ServiceHTTPHandler` on a ``ThreadingHTTPServer`` — a thin
   translation layer: JSON in/out, exception type → status code,
-  ``Retry-After`` from :class:`~repro.errors.AdmissionRejected`.  An
-  optional FastAPI adapter (:mod:`repro.service.fastapi_adapter`) mounts
-  the same engine behind the same routes when that stack is installed;
-  the stdlib server is always available.
+  ``Retry-After`` from :class:`~repro.errors.AdmissionRejected`.
 
 Crash safety is inherited, not reimplemented: job lifecycle lives in the
-store's WAL, per-task progress lives in the supervisor's sweep journal, and
+store's WAL, per-task progress lives in the sweep journal, and
 the dispatcher always runs with ``resume=True`` — so a job interrupted by
 ``SIGKILL`` of the whole server is requeued on restart and only recomputes
 the tasks whose outcomes never reached disk.
@@ -49,7 +45,7 @@ from ..errors import (
 )
 from ..eval import cache as disk_cache
 from ..eval.export import sweep_to_json
-from ..eval.supervisor import run_sweep_supervised
+from ..eval.sweep import run_sweep
 from ..numrep import Representation
 from ..obs import metrics as obs_metrics
 from ..quantize import ScalingScheme
@@ -80,7 +76,7 @@ class ServiceConfig:
     cache_dir: Optional[Path] = None
     host: str = "127.0.0.1"
     port: int = 8177
-    #: Worker processes per running sweep (the supervisor's ``jobs``).
+    #: Worker processes per running sweep (the sweep engine's ``jobs``).
     sweep_jobs: int = 2
     #: Concurrently *running* jobs (dispatcher threads).
     max_inflight: int = 1
@@ -361,7 +357,7 @@ class SynthesisService:
         return self.store.read_result(job_id)
 
     def cancel(self, job_id: str) -> Dict[str, object]:
-        """Cancel a queued or running job (the supervisor's should-stop
+        """Cancel a queued or running job (the sweep engine's should-stop
         poll aborts a running sweep within about one task budget; the
         dispatcher's completion loses to this transition and is
         discarded)."""
@@ -543,7 +539,7 @@ class SynthesisService:
         job_id = record.job_id
 
         def should_stop() -> Optional[str]:
-            # Polled by the supervisor between task completions, so a
+            # Polled by the sweep engine between task completions, so a
             # cancel or reaper expiry stops a *running* multi-task sweep
             # within one task budget instead of letting it occupy the
             # dispatcher for N_tasks x task_deadline_s.
@@ -555,8 +551,8 @@ class SynthesisService:
                 return f"job {job_id} was {current.state} while running"
             return None
 
-        report = run_sweep_supervised(
-            experiment_ids=list(spec.experiments),
+        report = run_sweep(
+            list(spec.experiments),
             jobs=self.config.sweep_jobs,
             cache_dir=None,  # configured process-wide in __init__
             filter_indices=(

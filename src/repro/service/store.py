@@ -4,7 +4,7 @@ The store is the single source of truth for job lifecycle; the queue holds
 only ids and the HTTP layer holds nothing.  Design points:
 
 * **Identity is content.**  A job's id is derived from
-  :func:`~repro.eval.supervisor.sweep_signature` of its canonical spec, so
+  :func:`~repro.eval.sweep.sweep_signature` of its canonical spec, so
   submitting the same spec twice *is* the same job — resubmission returns
   the existing record (completed jobs serve their cached result
   immediately; queued/running jobs are simply observed; failed, cancelled,
@@ -17,7 +17,7 @@ only ids and the HTTP layer holds nothing.  Design points:
   torn-tail-truncating), so an accepted job survives any crash of the
   server process.  Recovery folds the log last-record-wins, flips jobs
   caught ``running`` back to ``queued`` with ``resumed`` set (their sweep
-  journal lets the supervisor skip completed tasks), and compacts the log
+  journal lets the sweep engine skip completed tasks), and compacts the log
   to one record per job so it cannot grow without bound across restarts.
   Compaction itself is crash-atomic: the compacted log is written beside
   the live one and ``os.replace``'d into place (directory entry fsync'd),
@@ -40,8 +40,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import JobStateError, SpecError, StoreUnavailable
-from ..eval.supervisor import sweep_signature
+from ..errors import JobStateError, ReproError, SpecError, StoreUnavailable
+from ..eval.sweep import resolve_experiment_ids, sweep_signature
 from ..eval.wal import ChecksumLog
 from ..filters import TABLE1_SPECS
 from ..robust.crashsim import fabric as iofabric
@@ -95,7 +95,7 @@ class JobSpec:
     """Canonical description of *what* a job computes.
 
     Mirrors the parameters of
-    :func:`~repro.eval.supervisor.run_sweep_supervised` that shape the task
+    :func:`~repro.eval.sweep.run_sweep` that shape the task
     universe.  Everything else about a request (tenant, deadlines) lives on
     the :class:`JobRecord` because it does not change the answer.
     """
@@ -130,11 +130,8 @@ class JobSpec:
             or not raw_experiments
         ):
             raise SpecError("experiments must be a non-empty list of strings")
-        from ..errors import ReproError
-        from ..eval.parallel import _resolve_experiment_ids
-
         try:
-            experiments = tuple(_resolve_experiment_ids(raw_experiments))
+            experiments = tuple(resolve_experiment_ids(raw_experiments))
         except SpecError:
             raise
         except ReproError as exc:
@@ -337,7 +334,7 @@ class JobStore:
             if record.state == JobState.RUNNING:
                 # The previous server died mid-job.  The sweep journal holds
                 # every task outcome that reached disk, so requeue and let
-                # the supervisor's --resume path skip the finished work.
+                # the sweep engine's resume path skip the finished work.
                 record.state = JobState.QUEUED
                 record.resumed = True
                 record.updated_at = now

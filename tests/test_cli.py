@@ -22,7 +22,7 @@ from repro.eval.__main__ import (
     main,
 )
 from repro.eval.experiments import clear_cache
-from repro.eval.parallel import ParallelSweepReport, SweepTask, TaskOutcome
+from repro.eval.sweep import SweepReport, SweepTask, TaskOutcome
 
 
 @pytest.fixture(autouse=True)
@@ -86,7 +86,18 @@ class TestExitCodes:
         ])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "supervised:" in out
+        assert "[sweep: 2 design points with 1 jobs" in out
+
+    def test_all_with_a_pool_plans_table1_beside_fig7(self, capsys):
+        # table1 and fig7 share the (W=16, maximal, csd, mrpf) point with
+        # different depth limits; planning them together must not crash.
+        code = main([
+            "all", "--jobs", "2", "--filters", "0", "--wordlengths", "16",
+        ])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "0 failed, 0 quarantined" in out
+        assert "Table 1" in out and "Figure 7" in out
 
     def test_budget_exceeded_maps_to_3(self, monkeypatch, capsys):
         import repro.eval.__main__ as cli
@@ -95,7 +106,8 @@ class TestExitCodes:
             raise BudgetExceeded("deadline passed")
 
         monkeypatch.setattr(cli, "run_experiment", boom)
-        assert main(["fig6"]) == EXIT_BUDGET
+        code = main(["fig6", "--filters", "0", "--wordlengths", "8"])
+        assert code == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
 
     def test_degradation_maps_to_4(self, monkeypatch, capsys):
@@ -105,7 +117,8 @@ class TestExitCodes:
             raise DegradationError("all tiers failed")
 
         monkeypatch.setattr(cli, "run_experiment", boom)
-        assert main(["fig6"]) == EXIT_DEGRADATION
+        code = main(["fig6", "--filters", "0", "--wordlengths", "8"])
+        assert code == EXIT_DEGRADATION
         assert "degradation" in capsys.readouterr().err
 
     def test_other_repro_error_maps_to_1(self, monkeypatch, capsys):
@@ -115,14 +128,15 @@ class TestExitCodes:
             raise ReproError("something structural")
 
         monkeypatch.setattr(cli, "run_experiment", boom)
-        assert main(["fig6"]) == EXIT_FAILURE
+        code = main(["fig6", "--filters", "0", "--wordlengths", "8"])
+        assert code == EXIT_FAILURE
         assert "something structural" in capsys.readouterr().err
 
     def test_quarantined_tasks_map_to_5(self, monkeypatch, capsys):
-        import repro.eval.supervisor as supervisor
+        import repro.eval.__main__ as cli
 
         task = SweepTask(0, 8, "uniform", "csd", "mrpf")
-        report = ParallelSweepReport(
+        report = SweepReport(
             outcomes=(),
             tasks=(TaskOutcome(
                 task=task, payload=None, error_type="WorkerLost",
@@ -132,9 +146,7 @@ class TestExitCodes:
             precompute_s=0.0, replay_s=0.0, total_s=0.0,
             stage_timings={}, cache={},
         )
-        monkeypatch.setattr(
-            supervisor, "run_sweep_supervised", lambda *a, **kw: report
-        )
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **kw: report)
         code = main([
             "fig6", "--filters", "0", "--wordlengths", "8",
             "--journal-dir", "unused",
@@ -205,23 +217,21 @@ class TestCacheCounterSummary:
     ):
         # Cache write failures and quarantined entries must be visible in
         # the end-of-run summary, not only in the metrics exposition.
-        import repro.eval.supervisor as supervisor
+        import repro.eval.__main__ as cli
 
-        report = ParallelSweepReport(
+        report = SweepReport(
             outcomes=(), tasks=(), jobs=2, tasks_planned=0,
             tasks_precached=0, precompute_s=0.0, replay_s=0.0, total_s=0.0,
             stage_timings={}, cache={"put_errors": 3, "quarantined": 1},
         )
-        monkeypatch.setattr(
-            supervisor, "run_sweep_supervised", lambda *a, **kw: report
-        )
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **kw: report)
         code = main([
             "fig6", "--filters", "0", "--wordlengths", "8",
             "--journal-dir", "unused",
         ])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "[cache: 3 put errors, 1 quarantined entries]" in out
+        assert "cache: 3 put errors, 1 quarantined entries]" in out
 
 
 class TestCrashsimCommand:

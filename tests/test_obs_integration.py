@@ -17,7 +17,7 @@ from repro import obs
 from repro.eval import cache_info, to_json
 from repro.eval.experiments import clear_cache
 from repro.eval.harness import run_experiment
-from repro.eval.supervisor import run_sweep_supervised
+from repro.eval.sweep import run_sweep
 from repro.obs import load_trace, validate_trace
 from repro.obs.metrics import DEFAULT_REGISTRY
 
@@ -38,7 +38,7 @@ def _run_traced_sweep(tmp_path, jobs=2):
         trace_path=tmp_path / "trace.jsonl",
         metrics_path=tmp_path / "metrics.prom",
     )
-    report = run_sweep_supervised(
+    report = run_sweep(
         jobs=jobs, cache_dir=tmp_path / "cache",
         journal_dir=tmp_path / "wal", **SMALL,
     )

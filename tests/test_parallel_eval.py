@@ -1,14 +1,18 @@
-"""Parallel sweep engine + persistent cache: equivalence and unit tests.
+"""Sweep engine + persistent cache: equivalence and unit tests.
 
-The headline guarantee under test: a parallel sweep (process-pool precompute,
-disk-cache layering, budgeted tasks) exports *byte-identical* results to the
-plain serial path — including when some or all of the results come from a
-warm disk cache.
+The headline guarantee under test: a sweep (in-process or process-pool
+computation, disk-cache layering, budgeted tasks) exports *byte-identical*
+results to running the experiments one by one — including when some or all
+of the results come from a warm disk cache.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,15 +21,9 @@ from repro.eval import cache as disk_cache
 from repro.eval import experiments
 from repro.eval.experiments import best_mrpf, clear_cache
 from repro.eval.export import sweep_to_json
-from repro.eval.harness import run_sweep
-from repro.eval import parallel as parallel_module
-from repro.eval.parallel import (
-    SweepTask,
-    auto_chunk_size,
-    plan_tasks,
-    pool_decision,
-    run_sweep_parallel,
-)
+from repro.eval.harness import run_experiment
+from repro.eval import sweep as sweep_module
+from repro.eval.sweep import SweepOutcome, plan_tasks, run_sweep
 from repro.robust import SolverBudget
 
 IDS = ["fig6", "fig8a", "table1"]
@@ -43,18 +41,35 @@ def _pristine_caches():
 
 
 def _serial_json():
+    """The oracle: each experiment run directly, with no sweep engine."""
     clear_cache()
     disk_cache.configure(None)
-    outcomes = run_sweep(IDS, **RESTRICT)
+    outcomes = [
+        SweepOutcome(i, run_experiment(i, **RESTRICT), None, None, 0.0)
+        for i in IDS
+    ]
     text = sweep_to_json(outcomes)
     clear_cache()
     return text
 
 
+def _count_pools(monkeypatch):
+    """Count ProcessPoolExecutor constructions made by the engine."""
+    built = []
+    real = sweep_module.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", counting)
+    return built
+
+
 class TestByteIdenticalEquivalence:
     def test_parallel_jobs_matches_serial(self, tmp_path):
         want = _serial_json()
-        report = run_sweep_parallel(
+        report = run_sweep(
             IDS, jobs=4, cache_dir=tmp_path / "cache", **RESTRICT
         )
         assert sweep_to_json(report.outcomes) == want
@@ -66,9 +81,9 @@ class TestByteIdenticalEquivalence:
         cache_dir = tmp_path / "cache"
         # Warm roughly half the design points (fig6 only), then run the full
         # sweep: fig6 comes from disk, the rest is computed fresh.
-        run_sweep_parallel(["fig6"], jobs=2, cache_dir=cache_dir, **RESTRICT)
+        run_sweep(["fig6"], jobs=2, cache_dir=cache_dir, **RESTRICT)
         clear_cache()
-        report = run_sweep_parallel(
+        report = run_sweep(
             IDS, jobs=2, cache_dir=cache_dir, **RESTRICT
         )
         assert report.tasks_precached > 0
@@ -78,23 +93,23 @@ class TestByteIdenticalEquivalence:
     def test_fully_warm_cache_computes_nothing(self, tmp_path):
         want = _serial_json()
         cache_dir = tmp_path / "cache"
-        run_sweep_parallel(IDS, jobs=2, cache_dir=cache_dir, **RESTRICT)
+        run_sweep(IDS, jobs=2, cache_dir=cache_dir, **RESTRICT)
         clear_cache()
-        report = run_sweep_parallel(IDS, jobs=2, cache_dir=cache_dir, **RESTRICT)
+        report = run_sweep(IDS, jobs=2, cache_dir=cache_dir, **RESTRICT)
         assert len(report.tasks) == 0
         assert report.tasks_precached == report.tasks_planned
         assert sweep_to_json(report.outcomes) == want
 
     def test_in_process_jobs1_matches_serial(self, tmp_path):
         want = _serial_json()
-        report = run_sweep_parallel(IDS, jobs=1, **RESTRICT)
+        report = run_sweep(IDS, jobs=1, **RESTRICT)
         assert sweep_to_json(report.outcomes) == want
 
     def test_exhausted_task_budget_still_identical(self):
         # A zero deadline makes every budgeted precompute task fail fast;
         # the replay recomputes them serially, so output is unaffected.
         want = _serial_json()
-        report = run_sweep_parallel(
+        report = run_sweep(
             ["fig6"], jobs=1, task_deadline_s=0.0, **RESTRICT
         )
         failed = report.failed_tasks
@@ -105,133 +120,82 @@ class TestByteIdenticalEquivalence:
             assert t.traceback is not None
             assert "BudgetExceeded" in t.traceback
             assert "Traceback (most recent call last)" in t.traceback
-        full = run_sweep_parallel(IDS, jobs=1, **RESTRICT)
+        full = run_sweep(IDS, jobs=1, **RESTRICT)
         assert sweep_to_json(full.outcomes) == want
 
-    def test_run_sweep_delegates_to_parallel(self, tmp_path):
+    def test_run_sweep_delegates_to_parallel(self, tmp_path, monkeypatch):
+        # jobs > 1 hands the pending points to a process pool; the export
+        # is still the serial bytes.
         want = _serial_json()
-        outcomes = run_sweep(IDS, jobs=2, cache_dir=tmp_path / "c", **RESTRICT)
-        assert sweep_to_json(outcomes) == want
+        built = _count_pools(monkeypatch)
+        report = run_sweep(IDS, jobs=2, cache_dir=tmp_path / "c", **RESTRICT)
+        assert built == [2]
+        assert sweep_to_json(report.outcomes) == want
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ReproError):
-            run_sweep_parallel(["nope"], jobs=1)
+            run_sweep(["nope"], jobs=1)
 
 
 class TestChunkedDispatch:
-    def test_chunked_pool_matches_serial(self, tmp_path, monkeypatch):
-        # Force the pool on (the heuristic would refuse it on a 1-CPU CI
-        # host) and drive it with an explicit chunk size: chunked dispatch
-        # must not change a byte of the exported sweep.
-        want = _serial_json()
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-        report = run_sweep_parallel(
-            IDS, jobs=2, cache_dir=tmp_path / "cache", chunk_size=3,
-            min_parallel_tasks=1, **RESTRICT
-        )
-        assert report.pool_used
-        assert report.chunk_size == 3
-        assert report.fallback_reason is None
-        assert sweep_to_json(report.outcomes) == want
-
-    def test_auto_chunk_size_scales_with_backlog(self):
-        # ~CHUNKS_PER_WORKER chunks per worker, never below 1.
-        workers = 4
-        per_worker = parallel_module.CHUNKS_PER_WORKER
-        assert auto_chunk_size(0, workers) == 1
-        assert auto_chunk_size(1, workers) == 1
-        assert auto_chunk_size(workers * per_worker, workers) == 1
-        assert auto_chunk_size(workers * per_worker * 10, workers) == 10
-        assert auto_chunk_size(5, 0) == 1
+    """The pool takes one task per future: a chunk is always one task."""
 
     def test_report_stats_carry_dispatch_fields(self):
-        report = run_sweep_parallel(["fig6"], jobs=1, **RESTRICT)
+        report = run_sweep(["fig6"], jobs=2, **RESTRICT)
         stats = report.stats()
-        assert stats["pool_used"] is False
-        assert stats["chunk_size"] == 0
-        assert stats["fallback_reason"] == "jobs <= 1"
+        assert stats["jobs"] == 2
+        assert stats["tasks_computed"] == stats["tasks_planned"]
+        assert stats["retries"] == 0 and stats["pool_rebuilds"] == 0
+        assert [t.attempts for t in report.tasks] == [1] * len(report.tasks)
 
 
 class TestSerialFallback:
-    """Small sweeps must never pay pool spin-up (the cold 0.52x regression)."""
+    """``jobs=1`` runs in-process and never pays pool spin-up."""
 
     @pytest.fixture(autouse=True)
     def _no_pools_allowed(self, monkeypatch):
         def _boom(*args, **kwargs):
             raise AssertionError("ProcessPoolExecutor constructed for a "
-                                 "sweep the heuristic should run serially")
+                                 "jobs=1 sweep")
 
-        monkeypatch.setattr(
-            parallel_module, "ProcessPoolExecutor", _boom
-        )
-
-    def test_small_sweep_never_constructs_a_pool(self, monkeypatch):
-        # 10 pending tasks, threshold raised above them: in-process, and
-        # byte-identical (it IS the serial code path).
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-        want = _serial_json()
-        report = run_sweep_parallel(
-            IDS, jobs=4, min_parallel_tasks=1_000, **RESTRICT
-        )
-        assert not report.pool_used
-        assert "below pool threshold" in report.fallback_reason
-        assert len(report.tasks) == report.tasks_planned
-        assert sweep_to_json(report.outcomes) == want
-
-    def test_single_cpu_host_never_constructs_a_pool(self, monkeypatch):
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
-        report = run_sweep_parallel(
-            ["fig6"], jobs=4, min_parallel_tasks=1, **RESTRICT
-        )
-        assert not report.pool_used
-        assert report.fallback_reason == "single-CPU host"
-        assert not report.failed_tasks
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _boom)
 
     def test_fallback_still_writes_through_disk_cache(self, tmp_path):
         # The in-process path must leave the same warm disk cache a pool
         # run would: a second sweep computes nothing.
         cache_dir = tmp_path / "cache"
-        run_sweep_parallel(
-            IDS, jobs=4, cache_dir=cache_dir, min_parallel_tasks=1_000,
-            **RESTRICT
-        )
+        run_sweep(IDS, jobs=1, cache_dir=cache_dir, **RESTRICT)
         clear_cache()
-        again = run_sweep_parallel(
-            IDS, jobs=4, cache_dir=cache_dir, min_parallel_tasks=1_000,
-            **RESTRICT
-        )
+        again = run_sweep(IDS, jobs=1, cache_dir=cache_dir, **RESTRICT)
         assert len(again.tasks) == 0
         assert again.tasks_precached == again.tasks_planned
 
 
 class TestPoolDecision:
-    def test_jobs_one_is_serial(self):
-        assert pool_decision(100, 1) == (False, "jobs <= 1")
+    """A pool is used exactly when ``jobs > 1``."""
 
-    def test_single_cpu_is_serial(self, monkeypatch):
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
-        use, reason = pool_decision(100, 8)
-        assert not use
-        assert reason == "single-CPU host"
+    def test_jobs_one_is_serial(self, monkeypatch):
+        built = _count_pools(monkeypatch)
+        report = run_sweep(["fig6"], jobs=1, **RESTRICT)
+        assert built == []
+        assert len(report.tasks) == report.tasks_planned
 
-    def test_default_threshold_scales_with_workers(self, monkeypatch):
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-        monkeypatch.delenv(parallel_module.MIN_POOL_TASKS_ENV, raising=False)
-        # threshold = max(4, 2 * min(jobs, cpus)) = 8 for jobs=4
-        assert pool_decision(7, 4)[0] is False
-        assert pool_decision(8, 4) == (True, None)
+    def test_jobs_two_uses_a_pool_even_for_two_tasks(self, monkeypatch):
+        built = _count_pools(monkeypatch)
+        report = run_sweep(
+            ["fig6"], jobs=2, filter_indices=[0], wordlengths=[8],
+            replay=False,
+        )
+        assert report.tasks_planned == 2
+        assert built == [2]
+        assert not report.failed_tasks
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-        monkeypatch.setenv(parallel_module.MIN_POOL_TASKS_ENV, "3")
-        assert pool_decision(2, 4)[0] is False
-        assert pool_decision(3, 4) == (True, None)
-
-    def test_explicit_threshold_beats_env(self, monkeypatch):
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-        monkeypatch.setenv(parallel_module.MIN_POOL_TASKS_ENV, "1")
-        assert pool_decision(5, 4, min_parallel_tasks=6)[0] is False
-        assert pool_decision(6, 4, min_parallel_tasks=6) == (True, None)
+    def test_nothing_pending_builds_no_pool(self, monkeypatch, tmp_path):
+        run_sweep(["fig6"], jobs=1, cache_dir=tmp_path, **RESTRICT)
+        built = _count_pools(monkeypatch)
+        report = run_sweep(["fig6"], jobs=2, **RESTRICT)
+        assert built == []
+        assert report.tasks_precached == report.tasks_planned
 
 
 class TestTaskPlanning:
@@ -255,6 +219,20 @@ class TestTaskPlanning:
             assert task.depth_limit == 3
             assert task.method == "mrpf"
         assert {t.representation for t in tasks} == {"csd", "sm"}
+
+    def test_table1_beside_fig7_at_w16_plans(self):
+        # table1 pins depth_limit=3 on the same (W=16, maximal, csd, mrpf)
+        # point fig7 plans with depth_limit=None; sorting the two must not
+        # compare None with 3.
+        for ids in (["fig7", "table1"], ["summary", "table1"]):
+            tasks = plan_tasks(ids, [1], [8, 16])
+            assert tasks == plan_tasks(list(reversed(ids)), [1], [8, 16])
+            same = [
+                t for t in tasks
+                if (t.wordlength, t.scaling, t.representation, t.method)
+                == (16, "maximal", "csd", "mrpf")
+            ]
+            assert [t.depth_limit for t in same] == [None, 3]
 
 
 class TestDiskCache:
@@ -393,3 +371,38 @@ class TestBudgetThreading:
         )
         assert result.tier == "trivial"
         assert result.architecture.adder_count >= 0
+
+
+_FOOTPRINT_SCRIPT = """
+import sys
+import repro.eval.__main__
+from repro.eval.sweep import run_sweep
+
+assert "networkx" not in sys.modules
+before = set(sys.modules)
+report = run_sweep(
+    ["fig6", "fig8a", "table1"], filter_indices=[0], wordlengths=[8],
+    replay=False,
+)
+assert {t.task.method for t in report.tasks} == {
+    "simple", "mrpf", "cse", "mrpf_cse"
+}, report.tasks
+assert not report.failed_tasks, report.failed_tasks
+print(sorted(set(sys.modules) - before))
+"""
+
+
+class TestImportFootprint:
+    def test_computing_points_imports_nothing_new(self):
+        # A pool forked while another thread is inside an import inherits
+        # that module's lock held and deadlocks on it.  Once the engine is
+        # imported, computing a point of every method must import nothing.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -158,6 +158,24 @@ class TestJobLifecycle:
         result = json.loads(raw)
         assert result["sweep"], "completed sweep returned an empty result"
 
+    def test_fig7_beside_table1_at_w16_completes(self, live):
+        # fig7 and table1 plan the same W=16 point with different depth
+        # limits; the job must not fail while its sweep is planned.
+        spec = {
+            "experiments": ["fig7", "table1"], "filters": [1],
+            "wordlengths": [8, 16],
+        }
+        _, _, view = request_json(live["port"], "POST", "/v1/jobs", spec)
+        job_id = view["job_id"]
+        final = wait_for_state(live["port"], job_id, {"completed", "failed"})
+        assert final["state"] == "completed", final.get("error")
+        _, _, result = request_json(
+            live["port"], "GET", f"/v1/jobs/{job_id}/result"
+        )
+        assert [(e["experiment"], e["ok"]) for e in result["sweep"]] == [
+            ("fig7", True), ("table1", True),
+        ]
+
     def test_resubmission_is_idempotent(self, live):
         # Satellite: interleaved same-signature submissions collapse onto
         # one job and one sweep journal (journaled resume, not re-run).

@@ -30,7 +30,7 @@ import pytest
 from repro.eval import cache as disk_cache
 from repro.eval.experiments import clear_cache
 from repro.eval.export import sweep_to_json
-from repro.eval.harness import run_sweep
+from repro.eval.sweep import run_sweep
 from repro.robust import ProcessFaultPlan
 from repro.robust.chaos import ServiceFaultPlan
 from repro.service.app import ServiceConfig, SynthesisService, make_server
@@ -53,10 +53,10 @@ def _pristine_caches():
 def _serial_json(filters, wordlengths):
     clear_cache()
     disk_cache.configure(None)
-    outcomes = run_sweep(
+    report = run_sweep(
         ["fig6"], filter_indices=filters, wordlengths=wordlengths
     )
-    text = sweep_to_json(outcomes)
+    text = sweep_to_json(report.outcomes)
     clear_cache()
     return text
 

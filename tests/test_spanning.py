@@ -1,5 +1,8 @@
 """Unit + property tests for the depth-bounded spanning forest."""
 
+import random
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from repro.graph import (
     build_spanning_forest,
     greedy_weighted_set_cover,
 )
+from repro.graph.spanning import _choose_root
 
 ODD_VERTEX = st.integers(min_value=1, max_value=511).map(lambda n: 2 * n + 1)
 VERTEX_SETS = st.sets(ODD_VERTEX, min_size=2, max_size=7)
@@ -147,3 +151,64 @@ class TestForestProperties:
         assert not roots & aliases
         assert not roots & children
         assert not aliases & children
+
+
+_Edge = namedtuple("_Edge", "src dst")
+
+
+class _StubGraph:
+    """Just the ``edges_of_color`` view ``_choose_root`` reads."""
+
+    def __init__(self, edges_by_color):
+        self._edges = edges_by_color
+
+    def edges_of_color(self, color):
+        return self._edges.get(color, ())
+
+
+def _oracle_root(unassigned, edges):
+    """Root by the paper's rule from Floyd-Warshall all-pairs distances."""
+    inf = float("inf")
+    vertices = sorted(unassigned)
+    dist = {(u, v): 0 if u == v else inf for u in vertices for v in vertices}
+    for u, v in edges:
+        if u in unassigned and v in unassigned and u != v:
+            dist[u, v] = dist[v, u] = 1
+    for k in vertices:
+        for i in vertices:
+            for j in vertices:
+                if dist[i, k] + dist[k, j] < dist[i, j]:
+                    dist[i, j] = dist[i, k] + dist[k, j]
+    anchor = vertices[0]
+    component = [v for v in vertices if dist[anchor, v] < inf]
+    ecc = {v: max(dist[v, w] for w in component) for v in component}
+    return min(component, key=lambda v: (ecc[v], v)), len(component)
+
+
+class TestRootChoice:
+    def test_bfs_matches_all_pairs_oracle_on_random_graphs(self):
+        sizes = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            vertices = rng.sample(range(1, 200, 2), rng.randint(1, 12))
+            density = rng.choice((0.05, 0.15, 0.4))
+            edges_by_color = {}
+            for color in range(1, 5):
+                edges = [
+                    _Edge(u, v) for u in vertices for v in vertices
+                    if rng.random() < density
+                ]
+                edges_by_color[color] = edges
+            # Only some colors are in the solution, and some vertices are
+            # already placed: edges touching either must be ignored.
+            colors = set(rng.sample(range(1, 5), rng.randint(1, 4)))
+            unassigned = set(
+                rng.sample(vertices, rng.randint(1, len(vertices)))
+            )
+            chosen = [e for c in colors for e in edges_by_color[c]]
+            want, size = _oracle_root(unassigned, chosen)
+            graph = _StubGraph(edges_by_color)
+            assert _choose_root(graph, colors, unassigned) == want, seed
+            sizes.add(min(size, 3))
+        # Single-vertex, two-vertex and larger components were all covered.
+        assert sizes == {1, 2, 3}

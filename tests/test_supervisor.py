@@ -1,4 +1,4 @@
-"""Supervised sweep layer: journaling, worker-loss recovery, resume.
+"""Sweep engine supervision: journaling, worker-loss recovery, resume.
 
 The headline guarantees under test:
 
@@ -28,11 +28,15 @@ from repro.errors import JournalError, SupervisorError, SweepAborted
 from repro.eval import cache as disk_cache
 from repro.eval.experiments import clear_cache
 from repro.eval.export import sweep_to_json
-from repro.eval.harness import run_sweep
-from repro.eval.parallel import SweepTask, TaskOutcome, plan_tasks
-from repro.eval.supervisor import (
+from repro.eval.harness import run_experiment
+from repro.eval.sweep import (
     SweepJournal,
-    run_sweep_supervised,
+    SweepOutcome,
+    SweepTask,
+    TaskOutcome,
+    decorrelated_backoff,
+    plan_tasks,
+    run_sweep,
     sweep_signature,
     task_key,
 )
@@ -54,9 +58,13 @@ def _pristine_caches():
 
 
 def _serial_json():
+    """The oracle: each experiment run directly, with no sweep engine."""
     clear_cache()
     disk_cache.configure(None)
-    outcomes = run_sweep(IDS, **RESTRICT)
+    outcomes = [
+        SweepOutcome(i, run_experiment(i, **RESTRICT), None, None, 0.0)
+        for i in IDS
+    ]
     text = sweep_to_json(outcomes)
     clear_cache()
     return text
@@ -163,7 +171,7 @@ class TestJournal:
 class TestSupervisedEquivalence:
     def test_supervised_matches_serial(self, tmp_path):
         want = _serial_json()
-        report = run_sweep_supervised(
+        report = run_sweep(
             IDS, jobs=2, cache_dir=tmp_path / "cache",
             journal_dir=tmp_path / "journal", **RESTRICT
         )
@@ -174,11 +182,11 @@ class TestSupervisedEquivalence:
     def test_journal_resume_without_disk_cache(self, tmp_path):
         # The journal alone (no disk cache) must be able to warm a resume.
         want = _serial_json()
-        run_sweep_supervised(
+        run_sweep(
             IDS, jobs=1, journal_dir=tmp_path, replay=False, **RESTRICT
         )
         clear_cache()
-        report = run_sweep_supervised(
+        report = run_sweep(
             IDS, jobs=1, journal_dir=tmp_path, resume=True, **RESTRICT
         )
         assert report.tasks_resumed == report.tasks_planned
@@ -187,11 +195,11 @@ class TestSupervisedEquivalence:
 
     def test_resume_requires_journal_dir(self):
         with pytest.raises(SupervisorError):
-            run_sweep_supervised(IDS, jobs=1, resume=True, **RESTRICT)
+            run_sweep(IDS, jobs=1, resume=True, **RESTRICT)
 
     def test_negative_max_retries_rejected(self):
         with pytest.raises(SupervisorError):
-            run_sweep_supervised(IDS, jobs=1, max_retries=-1, **RESTRICT)
+            run_sweep(IDS, jobs=1, max_retries=-1, **RESTRICT)
 
 
 class TestWorkerLossRecovery:
@@ -200,7 +208,7 @@ class TestWorkerLossRecovery:
         # BrokenProcessPool — and the supervisor must recover them all.
         want = _serial_json()
         chaos = ProcessFaultPlan(seed=7, kill_rate=1.0, kills_per_task=1)
-        report = run_sweep_supervised(
+        report = run_sweep(
             IDS, jobs=2, journal_dir=tmp_path, chaos=chaos,
             max_retries=2, **RESTRICT
         )
@@ -215,7 +223,7 @@ class TestWorkerLossRecovery:
         def run(sub):
             clear_cache()
             disk_cache.configure(None)
-            report = run_sweep_supervised(
+            report = run_sweep(
                 IDS, jobs=2, journal_dir=tmp_path / sub, chaos=chaos,
                 max_retries=2, replay=False, **RESTRICT
             )
@@ -230,10 +238,10 @@ class TestWorkerLossRecovery:
 
     def test_poison_task_quarantined_innocents_survive(self, tmp_path):
         want = _serial_json()
-        tasks = sorted(plan_tasks(IDS, **RESTRICT))
+        tasks = plan_tasks(IDS, **RESTRICT)  # already sorted
         poison = task_key(tasks[-1])
         chaos = ProcessFaultPlan(seed=1, poison_tasks=(poison,))
-        report = run_sweep_supervised(
+        report = run_sweep(
             IDS, jobs=2, journal_dir=tmp_path, chaos=chaos,
             max_retries=2, **RESTRICT
         )
@@ -250,7 +258,7 @@ class TestWorkerLossRecovery:
     def test_slow_task_injection_still_identical(self, tmp_path):
         want = _serial_json()
         chaos = ProcessFaultPlan(seed=5, slow_rate=1.0, slow_s=0.05)
-        report = run_sweep_supervised(
+        report = run_sweep(
             IDS, jobs=2, journal_dir=tmp_path, chaos=chaos, **RESTRICT
         )
         assert not report.failed_tasks
@@ -262,14 +270,14 @@ class TestCacheChaos:
         want = _serial_json()
         cache_dir = tmp_path / "cache"
         chaos = ProcessFaultPlan(seed=3, cache_truncate_rate=1.0)
-        first = run_sweep_supervised(
+        first = run_sweep(
             IDS, jobs=1, cache_dir=cache_dir, chaos=chaos, **RESTRICT
         )
         assert sweep_to_json(first.outcomes) == want
         clear_cache()
         # Second run hits only corrupt entries: each is quarantined (not
         # unlinked), recomputed, and the sweep still matches serial bytes.
-        second = run_sweep_supervised(
+        second = run_sweep(
             IDS, jobs=1, cache_dir=cache_dir, **RESTRICT
         )
         active = disk_cache.active_cache()
@@ -280,7 +288,7 @@ class TestCacheChaos:
     def test_enospc_faults_do_not_fail_the_sweep(self, tmp_path):
         want = _serial_json()
         chaos = ProcessFaultPlan(seed=3, cache_enospc_rate=1.0)
-        report = run_sweep_supervised(
+        report = run_sweep(
             IDS, jobs=1, cache_dir=tmp_path / "cache", chaos=chaos, **RESTRICT
         )
         assert not report.failed_tasks
@@ -290,12 +298,12 @@ class TestCacheChaos:
 
 _PARENT_DRIVER = """
 import sys
-from repro.eval.supervisor import run_sweep_supervised
+from repro.eval.sweep import run_sweep
 from repro.robust import ProcessFaultPlan
 
 # Slow every task so the parent is reliably mid-sweep when killed.
 chaos = ProcessFaultPlan(seed=0, slow_rate=1.0, slow_s=0.5)
-run_sweep_supervised(
+run_sweep(
     ["fig6"], jobs=1, journal_dir=sys.argv[1], chaos=chaos, replay=False,
     filter_indices=[0, 1], wordlengths=[8],
 )
@@ -339,7 +347,7 @@ class TestParentKillResume:
 
         clear_cache()
         disk_cache.configure(None)
-        report = run_sweep_supervised(
+        report = run_sweep(
             IDS, jobs=1, journal_dir=tmp_path, resume=True, **RESTRICT
         )
         assert report.tasks_resumed >= 1
@@ -350,7 +358,7 @@ class TestParentKillResume:
 class TestSweepAbort:
     def test_past_deadline_aborts_before_any_task(self, tmp_path):
         with pytest.raises(SweepAborted, match="deadline"):
-            run_sweep_supervised(
+            run_sweep(
                 IDS, jobs=1, journal_dir=tmp_path, replay=False,
                 deadline_at=time.time() - 1.0, **RESTRICT
             )
@@ -365,14 +373,14 @@ class TestSweepAbort:
             return "caller asked to stop" if len(polls) > 1 else None
 
         with pytest.raises(SweepAborted, match="caller asked"):
-            run_sweep_supervised(
+            run_sweep(
                 IDS, jobs=1, journal_dir=tmp_path, replay=False,
                 should_stop=should_stop, **RESTRICT
             )
         # The task completed before the abort is durably journaled: a
         # resumed run skips it — aborting loses time, never results.
         clear_cache()
-        report = run_sweep_supervised(
+        report = run_sweep(
             IDS, jobs=1, journal_dir=tmp_path, resume=True, replay=False,
             **RESTRICT
         )
@@ -393,7 +401,7 @@ class TestSweepAbort:
             return "stop now" if len(polls) >= 2 else None
 
         with pytest.raises(SweepAborted, match="stop now"):
-            run_sweep_supervised(
+            run_sweep(
                 IDS, jobs=2, journal_dir=tmp_path, chaos=chaos,
                 should_stop=should_stop, replay=False, **RESTRICT
             )
@@ -402,8 +410,6 @@ class TestSweepAbort:
 class TestDecorrelatedBackoff:
     def test_draws_stay_inside_the_window(self):
         import random
-
-        from repro.eval.supervisor import decorrelated_backoff
 
         rng = random.Random(0)
         previous = 0.5
@@ -417,8 +423,6 @@ class TestDecorrelatedBackoff:
     def test_cap_bounds_the_envelope(self):
         import random
 
-        from repro.eval.supervisor import decorrelated_backoff
-
         rng = random.Random(1)
         delay = decorrelated_backoff(
             previous_s=1000.0, base_s=0.5, factor=3.0, cap_s=30.0, rng=rng
@@ -428,8 +432,6 @@ class TestDecorrelatedBackoff:
     def test_zero_base_disables_backoff(self):
         import random
 
-        from repro.eval.supervisor import decorrelated_backoff
-
         assert decorrelated_backoff(
             5.0, base_s=0.0, factor=3.0, cap_s=30.0, rng=random.Random(2)
         ) == 0.0
@@ -438,8 +440,6 @@ class TestDecorrelatedBackoff:
         # The whole point of the jitter: two supervisors with the same
         # rebuild history must not restart their pools in lockstep.
         import random
-
-        from repro.eval.supervisor import decorrelated_backoff
 
         a = [
             decorrelated_backoff(0.5, 0.5, 3.0, 30.0, random.Random(10))
@@ -451,8 +451,6 @@ class TestDecorrelatedBackoff:
 
     def test_degenerate_window_returns_lower_bound(self):
         import random
-
-        from repro.eval.supervisor import decorrelated_backoff
 
         # previous * factor below base: the window collapses to base_s.
         assert decorrelated_backoff(

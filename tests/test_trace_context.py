@@ -42,14 +42,14 @@ def _pristine(tmp_path):
 
 def test_pool_workers_continue_the_adopted_trace(tmp_path):
     """Satellite: trace context survives the pool-worker spill merge."""
-    from repro.eval.supervisor import run_sweep_supervised
+    from repro.eval.sweep import run_sweep
 
     obs.configure(trace_path=tmp_path / "trace.jsonl")
     job_trace = "ab" * 8
     with obs.trace_context((job_trace, None)):
         with obs.span("service.job", job_id="job-t", tenant="t"):
-            run_sweep_supervised(
-                experiment_ids=["fig6"], filter_indices=[0, 1],
+            run_sweep(
+                ["fig6"], filter_indices=[0, 1],
                 wordlengths=[8], jobs=2,
                 cache_dir=tmp_path / "cache", journal_dir=tmp_path / "wal",
             )

@@ -124,10 +124,10 @@ class TestSweepGate:
     def test_supervised_sweep_green_under_gate(self, monkeypatch, tmp_path):
         """The journaled sweep engine completes with the gate armed — the
         audit runs inside every worker task without quarantining anything."""
-        from repro.eval.supervisor import run_sweep_supervised
+        from repro.eval.sweep import run_sweep
 
         monkeypatch.setenv("REPRO_VERIFY_GATE", "1")
-        report = run_sweep_supervised(
+        report = run_sweep(
             ["fig6"], jobs=2, cache_dir=tmp_path / "cache",
             journal_dir=tmp_path / "journal",
             filter_indices=[0], wordlengths=[8],

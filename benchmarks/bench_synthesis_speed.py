@@ -12,14 +12,13 @@ regression gate) can time exactly the same work without pytest-benchmark.
 
 import pytest
 
-from repro import fastpath
 from repro.baselines import synthesize_cse_filter
 from repro.core import MrpOptions, lower_plan, optimize, synthesize_mrpf
 from repro.core.sidc import normalize_taps
-from repro.fastpath import msdtables
 from repro.graph import build_colored_graph
+from repro.graph.colored import _build_edges
 from repro.filters import benchmark_suite
-from repro.numrep import enumerate_msd, oddpart
+from repro.numrep import Representation, enumerate_msd, msd, oddpart
 from repro.quantize import ScalingScheme, quantize
 from repro.verify import release_audit
 from repro.verify.structure import audit_structure
@@ -55,20 +54,17 @@ def stage_operations(integers=None, wordlength: int = WORDLENGTH):
     # for; warmed once up front so "msd_enumeration_warm" measures table
     # hits regardless of which stage a harness times first.
     msd_values = sorted({abs(oddpart(v)) for v in integers if v})
-    msdtables.warm_msd_tables(msd_values)
+    msd.warm_msd_tables(msd_values)
 
     def graph_reference():
-        # The pre-fastpath loop, pinned so the fast/reference ratio stays
-        # measurable as a gated metric even though the fast kernels are the
-        # default everywhere else.
-        fastpath.set_mode("off")
-        try:
-            return build_colored_graph(vertices, wordlength)
-        finally:
-            fastpath.set_mode(None)
+        # The edge-by-edge reference loop, so the fused/reference ratio
+        # stays measurable as a gated metric.
+        return _build_edges(
+            sorted(set(vertices)), wordlength, Representation.CSD, None
+        )
 
     def msd_cold():
-        msdtables.clear_tables()
+        msd.clear_tables()
         for value in msd_values:
             enumerate_msd(value)
 
@@ -119,14 +115,14 @@ def test_speed_graph_construction_reference(benchmark, stage_ops):
 @pytest.mark.benchmark(group="speed")
 def test_speed_msd_enumeration_cold(benchmark, stage_ops):
     benchmark(stage_ops["msd_enumeration_cold"])
-    assert msdtables.table_stats()["entries"] > 0
+    assert msd.table_stats()["entries"] > 0
 
 
 @pytest.mark.benchmark(group="speed")
 def test_speed_msd_enumeration_warm(benchmark, stage_ops):
-    before = msdtables.table_stats()["hits"]
+    before = msd.table_stats()["hits"]
     benchmark(stage_ops["msd_enumeration_warm"])
-    assert msdtables.table_stats()["hits"] > before
+    assert msd.table_stats()["hits"] > before
 
 
 @pytest.mark.benchmark(group="speed")

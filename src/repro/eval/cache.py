@@ -57,16 +57,20 @@ QUARANTINE_DIR = "quarantine"
 #: semantics of an existing one) to orphan every previously written entry.
 CACHE_SCHEMA_VERSION = 1
 
+#: Bump when a synthesis kernel's output could have differed from its
+#: reference (i.e. an equivalence bug was fixed), to orphan every entry the
+#: buggy kernel computed.
+KERNEL_VERSION = 1
+
 
 def version_tag() -> str:
     """The code-relevant version folded into every cache key.
 
-    The fast-path :data:`~repro.fastpath.KERNEL_VERSION` is mixed in so a
-    fixed kernel bug cannot keep serving results computed by the broken
-    kernel — bumping it orphans every entry, exactly like a schema bump.
+    :data:`KERNEL_VERSION` is mixed in so a fixed kernel bug cannot keep
+    serving results computed by the broken kernel — bumping it orphans every
+    entry, exactly like a schema bump.
     """
     from .. import __version__
-    from ..fastpath import KERNEL_VERSION
 
     return f"{__version__}+schema{CACHE_SCHEMA_VERSION}+k{KERNEL_VERSION}"
 

@@ -28,7 +28,7 @@ from ..core.mrp import trivial_plan
 from ..filters import DesignedFilter, benchmark_suite
 from ..graph import build_colored_graph
 from ..hwcost import CARRY_LOOKAHEAD, weighted_adder_cost
-from ..numrep import Representation
+from ..numrep import Representation, msd
 from ..obs import metrics as obs_metrics
 from ..quantize import ScalingScheme, quantize
 from .. import errors
@@ -79,16 +79,19 @@ def cache_info() -> Dict[str, object]:
     The top-level ``put_errors`` and ``quarantined`` keys are *uniform*:
     always present and summed across layers (both 0 when no disk cache is
     configured), so report consumers never need to probe for the optional
-    ``disk`` sub-dict before aggregating failure counts.
+    ``disk`` sub-dict before aggregating failure counts.  The ``fastpath``
+    sub-dict carries the kernel version folded into disk-cache keys and the
+    MSD table counters (``entries``/``hits``/``misses``).
     """
-    from ..fastpath import fastpath_info
-
     info: Dict[str, object] = {
         "memory_entries": len(_CACHE),
         "memory": _MEMORY_STATS.as_dict(),
         "put_errors": _MEMORY_STATS.put_errors,
         "quarantined": _MEMORY_STATS.quarantined,
-        "fastpath": fastpath_info(),
+        "fastpath": {
+            "kernel_version": disk_cache.KERNEL_VERSION,
+            "msd_table": msd.table_stats(),
+        },
     }
     active = disk_cache.active_cache()
     if active is not None:

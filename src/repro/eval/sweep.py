@@ -47,9 +47,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..errors import ReproError, SupervisorError, SweepAborted
-from ..fastpath import msdtables as fast_tables
 from ..filters import TABLE1_SPECS, benchmark_filter
-from ..numrep import Representation
+from ..numrep import Representation, msd
 from ..obs import metrics as obs_metrics
 from ..obs import span as obs_span
 from ..quantize import ScalingScheme, quantize
@@ -605,7 +604,7 @@ def _worker_init(
     """
     disk_cache.configure(cache_dir)
     obs.worker_configure(obs_args)
-    fast_tables.restore_tables(msd_snapshot)
+    msd.restore_tables(msd_snapshot)
     if chaos is not None:
         injector = chaos.cache_injector()
         if injector is not None:
@@ -720,7 +719,7 @@ def _run_wave(
             initializer=_worker_init,
             initargs=(
                 worker_dir, chaos, obs.worker_args(),
-                fast_tables.table_snapshot(),
+                msd.table_snapshot(),
             ),
         )
         future_map = {

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import GraphError
-from ..fastpath import graph_kernel
-from ..fastpath.graphbuild import build_graph_fast
-from ..numrep import Representation, digit_cost, oddpart
+from ..numrep import Representation, digit_cost, encode, oddpart
 from ..obs import span as obs_span
 
 if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
@@ -104,40 +102,9 @@ class ColoredGraph:
             self._colors_of_vertex[edge.dst].add(edge.color)
             self._edges_into_by_color[edge.dst].setdefault(edge.color, []).append(edge)
         self._color_costs: Dict[int, int] = {
-            color: digit_cost(color, representation) for color in self._color_sets
+            color: encode(color, representation).nonzero_count
+            for color in self._color_sets
         }
-
-    @classmethod
-    def _from_prebuilt(
-        cls,
-        vertices: Iterable[int],
-        representation: Representation,
-        max_shift: int,
-        edges_by_color: Dict[int, List[ColorEdge]],
-        color_sets: Dict[int, Set[int]],
-        colors_of_vertex: Dict[int, Set[int]],
-        edges_into_by_color: Dict[int, Dict[int, List[ColorEdge]]],
-        color_costs: Dict[int, int],
-    ) -> "ColoredGraph":
-        """Trusted constructor for the fast-path builder.
-
-        :mod:`repro.fastpath.graphbuild` assembles the index dictionaries in
-        its single edge pass; re-deriving them here (as ``__init__`` does)
-        would double the build time for no information.  Callers guarantee
-        the dictionaries are mutually consistent and that ``color_costs``
-        matches ``digit_cost`` — the fast-path equivalence suite holds them
-        to it.
-        """
-        graph = cls.__new__(cls)
-        graph._vertices = frozenset(vertices)
-        graph._representation = representation
-        graph._max_shift = max_shift
-        graph._edges_by_color = edges_by_color
-        graph._color_sets = color_sets
-        graph._colors_of_vertex = colors_of_vertex
-        graph._edges_into_by_color = edges_into_by_color
-        graph._color_costs = color_costs
-        return graph
 
     @property
     def vertices(self) -> FrozenSet[int]:
@@ -208,29 +175,111 @@ def build_colored_graph(
     ``budget`` is charged per vertex pair so oversized builds raise
     :class:`~repro.errors.BudgetExceeded` instead of stalling the pipeline.
 
-    Construction normally runs through the batch kernels of
-    :mod:`repro.fastpath.graphbuild` (numpy when available, pure python
-    otherwise), which produce the identical graph several times faster;
-    ``REPRO_FASTPATH=off`` selects this module's reference loop instead.
-    The equivalence suite (``tests/test_fastpath_equivalence.py``) asserts
-    the two paths are element-identical.
+    The build is a single fused pass (see :func:`_fill_graph`) that yields
+    the same edges, in the same order, as the plain reference loop
+    :func:`_build_edges`; ``tests/test_fastpath_equivalence.py`` holds the
+    two element-identical.
     """
     vertex_list = sorted(set(vertices))
     if max_shift < 0:
         raise GraphError(f"max_shift must be >= 0, got {max_shift}")
-    kernel = graph_kernel()
+    for v in vertex_list:
+        if v <= 0 or v % 2 == 0:
+            raise GraphError(f"vertex {v} must be odd and positive")
     with obs_span(
         "graph.build",
         vertices=len(vertex_list),
         max_shift=max_shift,
         representation=representation.value,
-        kernel=kernel,
-    ):
-        if kernel == "off":
-            return _build_edges(vertex_list, max_shift, representation, budget)
-        return build_graph_fast(
-            vertex_list, max_shift, representation, budget, kernel
-        )
+    ) as build_span:
+        graph = _fill_graph(vertex_list, max_shift, representation, budget)
+        build_span.set_tag("colors", len(graph._color_sets))
+        build_span.set_tag("edges", graph.num_edges)
+        return graph
+
+
+def _fill_graph(
+    vertex_list: List[int],
+    max_shift: int,
+    representation: Representation,
+    budget: Optional["SolverBudget"],
+) -> ColoredGraph:
+    """Fill a :class:`ColoredGraph`'s indices in one pass over the edges.
+
+    Differs from :func:`_build_edges` only in speed:
+
+    * ``oddpart``'s trial division becomes the trailing-zero trick
+      ``magnitude & -magnitude``;
+    * a color's digit cost is computed once, when the color first appears;
+    * the index dictionaries are filled inline, with no second pass over
+      an edge list;
+    * edges skip ``ColorEdge.__post_init__`` — every edge is built from its
+      reconstruction identity, so there is nothing to re-check.
+
+    Edge order is the reference order (src, dst, shift, sign), so downstream
+    tie-breaking, and with it every exported artifact, is unchanged.
+    """
+    by_color: Dict[int, List[ColorEdge]] = {}
+    sets: Dict[int, Set[int]] = {}
+    of_vertex: Dict[int, Set[int]] = {v: set() for v in vertex_list}
+    into: Dict[int, Dict[int, List[ColorEdge]]] = {v: {} for v in vertex_list}
+    costs: Dict[int, int] = {}
+    new_edge = object.__new__
+    shift_range = range(max_shift + 1)
+    for src in vertex_list:
+        shifted_tab = [src << s for s in shift_range]
+        for dst in vertex_list:
+            if dst == src:
+                continue
+            if budget is not None:
+                budget.spend()
+            dst_colors = of_vertex[dst]
+            dst_into = into[dst]
+            for shift in shift_range:
+                shifted = shifted_tab[shift]
+                for src_sign in (1, -1):
+                    xi = dst - shifted if src_sign == 1 else dst + shifted
+                    if xi == 0:
+                        continue
+                    if xi > 0:
+                        color_sign, magnitude = 1, xi
+                    else:
+                        color_sign, magnitude = -1, -xi
+                    color_shift = (magnitude & -magnitude).bit_length() - 1
+                    primary = magnitude >> color_shift
+                    edge = new_edge(ColorEdge)
+                    edge.__dict__.update(
+                        src=src, dst=dst, shift=shift, src_sign=src_sign,
+                        color=primary, color_shift=color_shift,
+                        color_sign=color_sign, weight=0,
+                    )
+                    bucket = by_color.get(primary)
+                    if bucket is None:
+                        weight = digit_cost(primary, representation)
+                        by_color[primary] = [edge]
+                        sets[primary] = {dst}
+                        costs[primary] = weight
+                    else:
+                        weight = costs[primary]
+                        bucket.append(edge)
+                        sets[primary].add(dst)
+                    edge.__dict__["weight"] = weight
+                    dst_colors.add(primary)
+                    into_bucket = dst_into.get(primary)
+                    if into_bucket is None:
+                        dst_into[primary] = [edge]
+                    else:
+                        into_bucket.append(edge)
+    graph = ColoredGraph.__new__(ColoredGraph)
+    graph._vertices = frozenset(vertex_list)
+    graph._representation = representation
+    graph._max_shift = max_shift
+    graph._edges_by_color = by_color
+    graph._color_sets = sets
+    graph._colors_of_vertex = of_vertex
+    graph._edges_into_by_color = into
+    graph._color_costs = costs
+    return graph
 
 
 def _build_edges(
@@ -239,6 +288,14 @@ def _build_edges(
     representation: Representation,
     budget: Optional["SolverBudget"],
 ) -> ColoredGraph:
+    """Reference build: the paper's definition, edge by edge.
+
+    Kept as the oracle that tests and benchmarks hold
+    :func:`build_colored_graph` to; production code never calls it.  Digit
+    costs are counted on the encodings themselves, not taken from the
+    closed-form :func:`~repro.numrep.digit_cost` the fused builder uses, so
+    the oracle shares no shortcut with the code it checks.
+    """
     edges: List[ColorEdge] = []
     for src in vertex_list:
         for dst in vertex_list:
@@ -265,7 +322,7 @@ def _build_edges(
                             color=primary,
                             color_shift=color_shift,
                             color_sign=color_sign,
-                            weight=digit_cost(primary, representation),
+                            weight=encode(primary, representation).nonzero_count,
                         )
                     )
     return ColoredGraph(vertex_list, edges, representation, max_shift)

@@ -42,8 +42,15 @@ def encode_csd(value: int) -> SignedDigits:
 
 
 def csd_nonzero_count(value: int) -> int:
-    """Number of nonzero digits in the CSD encoding of ``value``."""
-    return encode_csd(value).nonzero_count
+    """Number of nonzero digits in the CSD encoding of ``value``.
+
+    Reitwiesner's closed form: the nonzero digits of the CSD (non-adjacent)
+    form of ``n >= 0`` sit exactly at the set bits of ``n XOR 3n``.  The CSD
+    of ``-n`` negates the digits of ``n``'s, so the magnitude decides.  The
+    tests hold this to ``encode_csd(value).nonzero_count``.
+    """
+    magnitude = abs(value)
+    return bin(magnitude ^ (3 * magnitude)).count("1")
 
 
 def is_csd(digits: SignedDigits) -> bool:

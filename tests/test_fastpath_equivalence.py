@@ -1,61 +1,72 @@
-"""Equivalence lockdown for the fast-path synthesis kernels.
+"""Equivalence lockdown for the fast synthesis kernels.
 
-Every fast path in :mod:`repro.fastpath` replaces a reference implementation
-that stays in the tree; this suite holds the two ends of each pair to
-element-identical output — same edges in the same order, same enumerations,
-same costs, same budget charging — under hypothesis-randomized coefficient
-sets, wordlengths, and shift ranges.  The graph comparisons run the numpy
-and pure-python kernels against the reference loop, and the numpy-absent
-world is simulated by monkeypatching the capability probe, so the fallback
-is exercised even on hosts with a capable numpy installed.
+Each fast kernel replaces a reference implementation that stays in the tree;
+this suite holds the two ends of each pair to element-identical output —
+same edges in the same order, same enumerations, same costs, same budget
+charging — under hypothesis-randomized coefficient sets, wordlengths, and
+shift ranges:
+
+* :func:`~repro.graph.colored.build_colored_graph` (one fused pure-python
+  pass) against the edge-by-edge reference loop
+  :func:`~repro.graph.colored._build_edges`;
+* the popcount identity of :func:`~repro.numrep.csd_nonzero_count` against
+  counting the digits of :func:`~repro.numrep.encode_csd`;
+* the memoized MSD table of :mod:`repro.numrep.msd` against a cold search.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import fastpath
 from repro.errors import BudgetExceeded, GraphError
-from repro.fastpath.digitcost import csd_cost_fast, fast_cost_fn, sm_cost_fast
-from repro.fastpath.graphbuild import build_graph_fast
-from repro.fastpath import msdtables
+from repro.eval import cache as disk_cache
+from repro.eval import experiments
 from repro.graph.colored import _build_edges, build_colored_graph
 from repro.numrep import (
     Representation,
+    binary_nonzero_count,
     csd_nonzero_count,
     digit_cost,
+    encode,
+    encode_binary,
+    encode_csd,
     enumerate_msd,
+    msd,
     msd_count,
     oddpart,
 )
-from repro.numrep import msd as msd_module
 from repro.robust.budget import SolverBudget
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-NUMPY_KERNEL = fastpath.numpy_usable()
 
 # Odd positive vertex mantissas in the range real quantized coefficients
 # occupy (<= 24-bit wordlengths).
 ODD_VERTEX = st.integers(min_value=0, max_value=(1 << 22) - 1).map(
     lambda n: 2 * n + 1
 )
-VERTEX_SETS = st.lists(ODD_VERTEX, min_size=1, max_size=8, unique=True)
+# Odd vertices around 2**60, where a fixed-width int64 kernel would overflow
+# (``3 * xi`` past 2**63); a set mixing both draws straddles that bound.
+WIDE_ODD_VERTEX = st.integers(min_value=1 << 56, max_value=1 << 61).map(
+    lambda n: 2 * n + 1
+)
+VERTEX_SETS = st.lists(
+    st.one_of(ODD_VERTEX, WIDE_ODD_VERTEX), min_size=0, max_size=8, unique=True
+)
 SHIFTS = st.integers(min_value=0, max_value=10)
 REPRESENTATIONS = st.sampled_from([Representation.CSD, Representation.SM])
 MSD_VALUES = st.integers(min_value=-(2**12), max_value=2**12)
 
 
 @pytest.fixture(autouse=True)
-def _pristine_fastpath():
-    """Each test starts with default mode and empty MSD tables."""
-    fastpath.set_mode(None)
-    msdtables.clear_tables()
+def _empty_msd_table():
+    """Each test starts and ends with an empty MSD table."""
+    msd.clear_tables()
     yield
-    fastpath.set_mode(None)
-    msdtables.clear_tables()
+    msd.clear_tables()
 
 
 def assert_graphs_identical(reference, candidate):
@@ -84,72 +95,78 @@ def assert_graphs_identical(reference, candidate):
 
 
 class TestDigitCostKernels:
-    @given(st.integers(min_value=-(2**40), max_value=2**40))
-    def test_csd_popcount_identity(self, value):
-        assert csd_cost_fast(value) == csd_nonzero_count(value)
+    def test_csd_popcount_identity_exhaustive(self):
+        for value in range(-(2**16) + 1, 2**16):
+            assert csd_nonzero_count(value) == encode_csd(value).nonzero_count
+
+    @given(
+        st.integers(min_value=2**16, max_value=2**80),
+        st.sampled_from([1, -1]),
+    )
+    def test_csd_popcount_identity(self, magnitude, sign):
+        value = sign * magnitude
+        assert csd_nonzero_count(value) == encode_csd(value).nonzero_count
 
     @given(st.integers(min_value=-(2**40), max_value=2**40))
     def test_sm_cost(self, value):
-        assert sm_cost_fast(value) == digit_cost(value, Representation.SM)
+        assert binary_nonzero_count(value) == encode_binary(value).nonzero_count
 
     @given(st.integers(min_value=1, max_value=2**40), REPRESENTATIONS)
     def test_dispatch_matches_reference(self, value, representation):
-        assert fast_cost_fn(representation)(value) == (
-            digit_cost(value, representation)
+        assert digit_cost(value, representation) == (
+            encode(value, representation).nonzero_count
         )
 
 
 class TestGraphKernelEquivalence:
     @given(VERTEX_SETS, SHIFTS, REPRESENTATIONS)
-    @settings(max_examples=40)
+    @example([], 4, Representation.CSD)
+    @example([45], 4, Representation.CSD)
+    @example([(1 << 58) + 1, 3], 3, Representation.SM)
+    @settings(max_examples=60)
     def test_python_kernel_matches_reference(self, vertices, max_shift, rep):
-        vertex_list = sorted(set(vertices))
-        reference = _build_edges(vertex_list, max_shift, rep, None)
-        fast = build_graph_fast(vertex_list, max_shift, rep, None, "python")
-        assert_graphs_identical(reference, fast)
+        reference = _build_edges(sorted(set(vertices)), max_shift, rep, None)
+        assert_graphs_identical(
+            reference, build_colored_graph(vertices, max_shift, rep)
+        )
 
-    @pytest.mark.skipif(not NUMPY_KERNEL, reason="needs numpy >= 2.0")
-    @given(VERTEX_SETS, SHIFTS, REPRESENTATIONS)
+    @given(
+        st.lists(ODD_VERTEX, min_size=1, max_size=8, unique=True),
+        SHIFTS,
+        REPRESENTATIONS,
+    )
     @settings(max_examples=40)
     def test_numpy_kernel_matches_reference(self, vertices, max_shift, rep):
+        """Realistic (<= 24-bit) vertex sets, the inputs a vectorized int64
+        kernel was once used for, build the reference graph."""
         vertex_list = sorted(set(vertices))
         reference = _build_edges(vertex_list, max_shift, rep, None)
-        fast = build_graph_fast(vertex_list, max_shift, rep, None, "numpy")
-        assert_graphs_identical(reference, fast)
+        assert_graphs_identical(
+            reference, build_colored_graph(vertex_list, max_shift, rep)
+        )
 
     def test_numpy_kernel_drops_to_python_past_int64(self):
-        # (max_v << max_shift) + max_v would overflow 3*xi in int64; the
-        # dispatcher must pick the bignum-safe python kernel, silently.
+        """``3 * xi`` for these vertices overflows int64; the builder works
+        on python ints and must still match the reference exactly."""
         huge = [(1 << 61) + 1, 3]
         reference = _build_edges(sorted(huge), 2, Representation.CSD, None)
-        fast = build_graph_fast(sorted(huge), 2, Representation.CSD, None, "numpy")
-        assert_graphs_identical(reference, fast)
+        assert_graphs_identical(
+            reference, build_colored_graph(huge, 2, Representation.CSD)
+        )
 
-    def test_build_colored_graph_modes_agree(self):
-        vertices = [3, 7, 11, 23, 45]
-        graphs = {}
-        for mode in ("off", "python", "auto"):
-            fastpath.set_mode(mode)
-            graphs[mode] = build_colored_graph(vertices, 6)
-        assert_graphs_identical(graphs["off"], graphs["python"])
-        assert_graphs_identical(graphs["off"], graphs["auto"])
-
-    def test_fallback_when_numpy_unusable(self, monkeypatch):
-        # Simulate a numpy-less host: auto must resolve to the python
-        # kernel and still build the identical graph.
-        monkeypatch.setattr(fastpath, "_NUMPY_USABLE", False)
-        assert fastpath.graph_kernel() == "python"
-        fastpath.set_mode("off")
-        reference = build_colored_graph([3, 5, 9], 4)
-        fastpath.set_mode("auto")
-        assert_graphs_identical(reference, build_colored_graph([3, 5, 9], 4))
-
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
-    def test_rejects_invalid_vertices(self, kernel):
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            build_colored_graph,
+            lambda vs, shift: _build_edges(vs, shift, Representation.CSD, None),
+        ],
+        ids=["python", "reference"],
+    )
+    def test_rejects_invalid_vertices(self, builder):
         with pytest.raises(GraphError):
-            build_graph_fast([4], 2, Representation.CSD, None, kernel)
+            builder([4], 2)
         with pytest.raises(GraphError):
-            build_graph_fast([-3, 5], 2, Representation.CSD, None, kernel)
+            builder([-3, 5], 2)
 
 
 class TestGraphBudgetEquivalence:
@@ -165,49 +182,45 @@ class TestGraphBudgetEquivalence:
         reference = self._spent_at_failure(
             lambda b: _build_edges(self.VERTICES, 4, Representation.CSD, b)
         )
-        for kernel in ("python", "numpy") if NUMPY_KERNEL else ("python",):
-            fast = self._spent_at_failure(
-                lambda b: build_graph_fast(
-                    self.VERTICES, 4, Representation.CSD, b, kernel
-                )
+        fused = self._spent_at_failure(
+            lambda b: build_colored_graph(
+                self.VERTICES, 4, Representation.CSD, budget=b
             )
-            assert fast == reference
+        )
+        assert fused == reference
 
     def test_sufficient_budget_builds_identical_graph(self):
-        def build(kernel):
-            budget = SolverBudget(max_nodes=10_000).start()
-            if kernel == "off":
-                return _build_edges(self.VERTICES, 4, Representation.CSD, budget)
-            return build_graph_fast(
-                self.VERTICES, 4, Representation.CSD, budget, kernel
-            )
+        def budget():
+            return SolverBudget(max_nodes=10_000).start()
 
-        reference = build("off")
-        assert_graphs_identical(reference, build("python"))
-        if NUMPY_KERNEL:
-            assert_graphs_identical(reference, build("numpy"))
+        reference = _build_edges(
+            self.VERTICES, 4, Representation.CSD, budget()
+        )
+        fused = build_colored_graph(
+            self.VERTICES, 4, Representation.CSD, budget=budget()
+        )
+        assert_graphs_identical(reference, fused)
 
 
 class TestMsdTableEquivalence:
     @given(MSD_VALUES)
     @settings(max_examples=40)
     def test_memoized_matches_reference(self, value):
-        fastpath.set_mode("off")
-        reference = enumerate_msd(value)
-        fastpath.set_mode("auto")
-        msdtables.clear_tables()
-        assert enumerate_msd(value) == reference  # miss populates the table
-        assert enumerate_msd(value) == reference  # hit serves from it
+        msd.clear_tables()
+        reference = enumerate_msd(value)  # miss: a cold search fills the table
+        assert enumerate_msd(value) == reference  # hit: served from it
+        if value:
+            assert msd.table_stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     @given(MSD_VALUES)
     @settings(max_examples=40)
     def test_snapshot_restore_roundtrip(self, value):
         expected = enumerate_msd(value)
-        snapshot = msdtables.table_snapshot()
-        msdtables.clear_tables()
-        assert msdtables.restore_tables(snapshot) == len(snapshot)
+        snapshot = msd.table_snapshot()
+        msd.clear_tables()
+        assert msd.restore_tables(snapshot) == len(snapshot)
         assert enumerate_msd(value) == expected
-        assert msdtables.table_stats()["misses"] == 0
+        assert msd.table_stats()["misses"] == 0
 
     def test_table_hit_still_charges_budget(self):
         enumerate_msd(45)  # warm
@@ -218,24 +231,19 @@ class TestMsdTableEquivalence:
             enumerate_msd(45, budget=budget)
 
     def test_msd_count_uses_table(self):
-        before = msdtables.table_stats()["hits"]
+        before = msd.table_stats()["hits"]
         assert msd_count(363) == msd_count(363)
-        assert msdtables.table_stats()["hits"] > before
-
-    def test_off_mode_bypasses_table(self):
-        fastpath.set_mode("off")
-        enumerate_msd(99)
-        assert msdtables.table_stats() == {"entries": 0, "hits": 0, "misses": 0}
+        assert msd.table_stats()["hits"] > before
 
     def test_warm_msd_tables_counts_new_entries(self):
         values = [3, 7, 11, 45]
-        assert msdtables.warm_msd_tables(values) == len(values)
-        assert msdtables.warm_msd_tables(values) == 0
+        assert msd.warm_msd_tables(values) == len(values)
+        assert msd.warm_msd_tables(values) == 0
 
     def test_snapshot_truncates_at_ceiling(self):
         for value in range(1, 40, 2):
             enumerate_msd(value)
-        snapshot = msdtables.table_snapshot(max_entries=5)
+        snapshot = msd.table_snapshot(max_entries=5)
         assert len(snapshot) == 5
 
     def test_cached_result_is_a_fresh_list(self):
@@ -243,29 +251,12 @@ class TestMsdTableEquivalence:
         first.append("sentinel")
         assert "sentinel" not in enumerate_msd(23)
 
-
-class TestModeMachinery:
-    def test_set_mode_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            fastpath.set_mode("turbo")
-
-    def test_env_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "off")
-        assert fastpath.resolve_mode() == "off"
-        assert fastpath.graph_kernel() == "off"
-        assert not fastpath.msd_tables_enabled()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "off")
-        fastpath.set_mode("python")
-        assert fastpath.graph_kernel() == "python"
-
     def test_info_is_json_friendly(self):
-        import json
-
-        info = fastpath.fastpath_info()
+        enumerate_msd(45)
+        info = experiments.cache_info()["fastpath"]
         assert json.loads(json.dumps(info)) == info
-        assert info["kernel_version"] == fastpath.KERNEL_VERSION
+        assert info["kernel_version"] == disk_cache.KERNEL_VERSION
+        assert info["msd_table"] == {"entries": 1, "hits": 0, "misses": 1}
 
 
 class TestOddpartAgreement:

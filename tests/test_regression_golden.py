@@ -13,7 +13,10 @@ EXPERIMENTS.md in the same change.
 
 import pytest
 
-from repro import fastpath
+import repro.core.mrp
+import repro.eval.experiments
+import repro.graph
+import repro.graph.colored
 from repro.baselines import (
     synthesize_bhm,
     synthesize_cse_filter,
@@ -21,6 +24,8 @@ from repro.baselines import (
 )
 from repro.eval import best_mrpf
 from repro.filters import benchmark_suite
+from repro.graph.colored import _build_edges
+from repro.numrep import Representation, msd
 from repro.quantize import ScalingScheme, quantize
 
 # (filter_index, wordlength, scaling) -> method -> exact adder count
@@ -74,22 +79,43 @@ class TestGoldenAdderCounts:
         assert got == GOLDEN[point]["mrpf_cse"]
 
 
-@pytest.fixture()
-def _each_fastpath_mode(request):
-    """Restore the ambient fast-path mode after a mode-switching test."""
-    yield
-    fastpath.set_mode(None)
+#: Every module that binds ``build_colored_graph`` by import.
+_GRAPH_BINDINGS = (
+    repro.graph,
+    repro.graph.colored,
+    repro.core.mrp,
+    repro.eval.experiments,
+)
 
 
-@pytest.mark.usefixtures("_each_fastpath_mode")
+def _use_reference_builder(monkeypatch):
+    """Route every graph build through the reference loop, MSD table cold.
+
+    Returns the list of vertex sets the reference loop built, so a test can
+    check the legacy leg really ran through it.
+    """
+    built = []
+
+    def reference(vertices, max_shift, representation=Representation.CSD,
+                  budget=None):
+        vertex_list = sorted(set(vertices))
+        built.append(vertex_list)
+        return _build_edges(vertex_list, max_shift, representation, budget)
+
+    for module in _GRAPH_BINDINGS:
+        monkeypatch.setattr(module, "build_colored_graph", reference)
+    msd.clear_tables()
+    return built
+
+
 class TestGoldenFastVersusLegacy:
-    """The fast kernels reproduce the golden table and artifact bytes.
+    """The fused graph builder reproduces the golden table and artifact bytes.
 
-    The golden numbers above already pin the default (fast) path; here the
-    same design points are recomputed with every fast path disabled
-    (``REPRO_FASTPATH=off``) and with the pure-python kernel forced, and the
-    full exported artifacts — not just adder counts — must be identical
-    byte for byte.
+    The golden numbers above already pin the production path; here the same
+    design points are recomputed with the graph built by the reference loop
+    (``repro.graph.colored._build_edges``) and the MSD table emptied first,
+    and the full exported artifacts — not just adder counts — must be
+    identical byte for byte.
     """
 
     POINTS = [(0, 12, "uniform"), (1, 12, "maximal")]
@@ -98,16 +124,19 @@ class TestGoldenFastVersusLegacy:
         q = _quantized(*point)
         return best_mrpf(q.integers, point[1]).adder_count
 
-    @pytest.mark.parametrize("mode", ["off", "python", "auto"])
+    @pytest.mark.parametrize("builder", ["reference", "fused"])
     @pytest.mark.parametrize("point", POINTS, ids=lambda p: f"{p[0]}-{p[2]}")
-    def test_golden_mrpf_under_every_mode(self, mode, point):
-        fastpath.set_mode(mode)
+    def test_golden_mrpf_under_every_mode(self, builder, point, monkeypatch):
+        if builder == "reference":
+            built = _use_reference_builder(monkeypatch)
         assert self._mrpf_count(point) == GOLDEN[point]["mrpf"]
+        if builder == "reference":
+            assert built
 
     @pytest.mark.parametrize("fmt", ["verilog", "c", "dot"])
-    def test_table1_artifact_bytes_identical(self, fmt):
+    def test_table1_artifact_bytes_identical(self, fmt, monkeypatch):
         # generate_artifact (not fetch_artifact) so no cache layer can
-        # serve mode B the bytes computed under mode A.
+        # serve one leg the bytes computed by the other.
         from repro.service.artifacts import generate_artifact
 
         def artifact():
@@ -116,11 +145,10 @@ class TestGoldenFastVersusLegacy:
                 scaling=ScalingScheme.MAXIMAL,
             )
 
-        fastpath.set_mode("off")
-        legacy = artifact()
-        for mode in ("python", "auto"):
-            fastpath.set_mode(mode)
-            assert artifact() == legacy
+        fused = artifact()
+        built = _use_reference_builder(monkeypatch)
+        assert artifact() == fused
+        assert built
 
 
 class TestGoldenInternalConsistency:

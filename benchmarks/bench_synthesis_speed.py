@@ -1,7 +1,8 @@
 """Micro-benchmarks: synthesis throughput of each pipeline stage.
 
 These are genuine timing benchmarks (multiple rounds) rather than one-shot
-table regenerations: graph construction, greedy cover + forest, full MRPF
+table regenerations: graph construction, the greedy cover alone (array
+cover and the reference loop), greedy cover + forest, full MRPF
 lowering, CSE, and the bit-exact verifier — so performance regressions in the
 core algorithms are visible.
 
@@ -15,8 +16,9 @@ import pytest
 from repro.baselines import synthesize_cse_filter
 from repro.core import MrpOptions, lower_plan, optimize, synthesize_mrpf
 from repro.core.sidc import normalize_taps
-from repro.graph import build_colored_graph
+from repro.graph import build_colored_graph, greedy_weighted_set_cover
 from repro.graph.colored import _build_edges
+from repro.graph.setcover import _greedy_cover_reference
 from repro.filters import benchmark_suite
 from repro.numrep import Representation, enumerate_msd, msd, oddpart
 from repro.quantize import ScalingScheme, quantize
@@ -63,6 +65,12 @@ def stage_operations(integers=None, wordlength: int = WORDLENGTH):
             sorted(set(vertices)), wordlength, Representation.CSD, None
         )
 
+    # The cover's input as plain dicts, the way the reference loop takes it.
+    table = graph.cover_table
+    universe = set(vertices)
+    color_sets = {color: graph.color_set(color) for color in graph.colors}
+    color_costs = {color: float(graph.color_cost(color)) for color in graph.colors}
+
     def msd_cold():
         msd.clear_tables()
         for value in msd_values:
@@ -77,6 +85,12 @@ def stage_operations(integers=None, wordlength: int = WORDLENGTH):
         "graph_construction_reference": graph_reference,
         "msd_enumeration_cold": msd_cold,
         "msd_enumeration_warm": msd_warm,
+        "cover": lambda: greedy_weighted_set_cover(
+            universe, table, table.cost_map
+        ),
+        "cover_reference": lambda: _greedy_cover_reference(
+            universe, color_sets, color_costs, 0.5, None, "benefit", None
+        ),
         "cover_and_forest": lambda: optimize(
             integers, wordlength, MrpOptions(), graph
         ),
@@ -123,6 +137,18 @@ def test_speed_msd_enumeration_warm(benchmark, stage_ops):
     before = msd.table_stats()["hits"]
     benchmark(stage_ops["msd_enumeration_warm"])
     assert msd.table_stats()["hits"] > before
+
+
+@pytest.mark.benchmark(group="speed")
+def test_speed_cover(benchmark, stage_ops):
+    cover = benchmark(stage_ops["cover"])
+    assert cover.steps
+
+
+@pytest.mark.benchmark(group="speed")
+def test_speed_cover_reference(benchmark, stage_ops):
+    cover = benchmark(stage_ops["cover_reference"])
+    assert cover.steps == stage_ops["cover"]().steps
 
 
 @pytest.mark.benchmark(group="speed")

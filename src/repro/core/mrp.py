@@ -183,8 +183,9 @@ def optimize(
     instead of hanging.  ``cover_fn`` swaps the greedy cover for another
     solver — the robust degradation layer uses it to try the exact
     branch-and-bound first; it is called as
-    ``cover_fn(universe, sets, costs, options)`` and must return a
-    :class:`~repro.graph.CoverSolution`.
+    ``cover_fn(universe, sets, costs, options)``, with ``sets`` the graph's
+    :class:`~repro.graph.CoverTable` and ``costs`` its ``cost_map``, and
+    must return a :class:`~repro.graph.CoverSolution`.
     """
     opts = options or MrpOptions()
     coefficients = tuple(int(c) for c in coefficients)
@@ -232,8 +233,7 @@ def optimize(
             "supplied graph does not match the coefficients/options "
             f"(vertices/max_shift/representation mismatch)"
         )
-    color_sets = {color: graph.color_set(color) for color in graph.colors}
-    costs = {color: float(graph.color_cost(color)) for color in graph.colors}
+    table = graph.cover_table
     element_weights = None
     if opts.strategy == "savings":
         # Covering vertex v replaces its direct digit chain with one overhead
@@ -245,10 +245,10 @@ def optimize(
     if budget is not None:
         budget.checkpoint()
     if cover_fn is not None:
-        cover = cover_fn(set(vertices), color_sets, costs, opts)
+        cover = cover_fn(set(vertices), table, table.cost_map, opts)
     else:
         cover = greedy_weighted_set_cover(
-            set(vertices), color_sets, costs, beta=opts.beta,
+            set(vertices), table, table.cost_map, beta=opts.beta,
             element_weights=element_weights, strategy=opts.strategy,
             budget=budget,
         )

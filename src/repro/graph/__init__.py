@@ -5,6 +5,7 @@ from .exact_cover import exact_weighted_set_cover, prune_dominated_sets
 from .setcover import (
     CoverSolution,
     CoverStep,
+    CoverTable,
     benefit,
     greedy_weighted_set_cover,
 )
@@ -15,6 +16,7 @@ __all__ = [
     "ColoredGraph",
     "CoverSolution",
     "CoverStep",
+    "CoverTable",
     "SpanningForest",
     "TreeAssignment",
     "benefit",

@@ -10,22 +10,35 @@ where ``frequency`` is the number of *still-uncovered* vertices in the color
 set and ``cost`` the color's digit count.  ``beta`` skews the solution toward
 fewer, denser shares (high beta) or cheaper, less-shared colors (low beta,
 modeling deep-submicron interconnect/drive cost).
+
+The cover runs on a :class:`CoverTable`: the sets encoded once as a boolean
+element x key membership matrix and a cost vector, keys in tie-break order.
+Each pick takes the best entry of a score vector over every key; covering an
+element subtracts it from the live frequencies and weights of the keys that
+hold it and rescores only those keys.  The
+plain loop :func:`_greedy_cover_reference` is the oracle the table cover is
+held to; production code never calls it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
     Hashable,
+    Iterator,
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from ..errors import BudgetExceeded, GraphError
 from ..obs import span as obs_span
@@ -33,7 +46,13 @@ from ..obs import span as obs_span
 if TYPE_CHECKING:  # pragma: no cover - import would cycle at runtime
     from ..robust.budget import SolverBudget
 
-__all__ = ["CoverStep", "CoverSolution", "benefit", "greedy_weighted_set_cover"]
+__all__ = [
+    "CoverStep",
+    "CoverSolution",
+    "CoverTable",
+    "benefit",
+    "greedy_weighted_set_cover",
+]
 
 
 def benefit(frequency: int, cost: float, beta: float) -> float:
@@ -70,6 +89,113 @@ class CoverSolution:
         return sum(step.cost for step in self.steps)
 
 
+class CoverTable(Mapping):
+    """A set-cover instance encoded once as arrays.
+
+    * ``ordered_keys`` — every set's key, sorted by :func:`_tie_order`, so
+      the lowest index is the final tie-break; ``index`` maps a key to its
+      position;
+    * ``elements`` — the elements, one matrix row each; ``row`` maps an
+      element to its row;
+    * ``membership`` — ``bool`` matrix of shape ``(len(elements),
+      len(ordered_keys))``; ``membership[j, i]`` is true when set
+      ``ordered_keys[i]`` holds ``elements[j]``.  The positions of the true
+      entries of each row are kept too, so covering an element touches only
+      the keys that hold it;
+    * ``costs`` — ``float64`` cost per key, in key order.
+
+    It is also a read-only ``Mapping`` from key to the set's ``frozenset``,
+    and :attr:`cost_map` maps key to ``float`` cost, so one table can stand
+    for the ``(sets, costs)`` pair of any cover solver.  :meth:`encode`
+    builds one from such a pair; a table so built hands back the caller's
+    own set objects.  The constructor takes keys already in tie order.
+    """
+
+    def __init__(
+        self,
+        keys: Sequence[Hashable],
+        elements: Sequence,
+        membership: np.ndarray,
+        costs: np.ndarray,
+        members: Optional[Mapping[Hashable, FrozenSet]] = None,
+    ):
+        self.ordered_keys: Tuple[Hashable, ...] = tuple(keys)
+        self.elements: Tuple = tuple(elements)
+        self.membership = membership
+        self.costs = costs
+        self.index: Dict[Hashable, int] = dict(
+            zip(self.ordered_keys, range(len(self.ordered_keys)))
+        )
+        self.row: Dict[Hashable, int] = dict(
+            zip(self.elements, range(len(self.elements)))
+        )
+        self._members = members
+        # Per element row, the positions of the keys holding it.
+        self._holders: List[np.ndarray] = [np.flatnonzero(held) for held in membership]
+        self.reachable: FrozenSet = frozenset(
+            element for element, held in zip(self.elements, self._holders) if len(held)
+        )
+        self.cost_map: Mapping[Hashable, float] = _CostMap(self)
+
+    @classmethod
+    def encode(
+        cls,
+        sets: Mapping[Hashable, FrozenSet],
+        costs: Mapping[Hashable, float],
+    ) -> "CoverTable":
+        """Encode a plain ``key -> set`` / ``key -> cost`` pair."""
+        keys = list(sets)
+        if all(type(key) is int and key >= 0 for key in keys):
+            keys.sort()  # the shortlex order of _tie_order, computed directly
+        else:
+            keys.sort(key=_tie_order)
+        member_sets = [sets[key] for key in keys]
+        elements = tuple(set().union(*member_sets))
+        row = dict(zip(elements, range(len(elements))))
+        rows = np.fromiter(
+            map(row.__getitem__, itertools.chain.from_iterable(member_sets)),
+            dtype=np.intp,
+        )
+        columns = np.repeat(
+            np.arange(len(keys)), np.fromiter(map(len, member_sets), dtype=np.intp)
+        )
+        membership = np.zeros((len(elements), len(keys)), dtype=bool)
+        membership[rows, columns] = True
+        cost_vector = np.array([costs[key] for key in keys], dtype=np.float64)
+        return cls(keys, elements, membership, cost_vector, members=sets)
+
+    def __getitem__(self, key: Hashable) -> FrozenSet:
+        if self._members is not None:
+            return frozenset(self._members[key])
+        column = self.membership[:, self.index[key]]
+        return frozenset(self.elements[j] for j in np.flatnonzero(column))
+
+    def __contains__(self, key: object) -> bool:
+        return key in self.index
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self.ordered_keys)
+
+    def __len__(self) -> int:
+        return len(self.ordered_keys)
+
+
+class _CostMap(Mapping):
+    """Read-only ``key -> float cost`` view of a :class:`CoverTable`."""
+
+    def __init__(self, table: CoverTable):
+        self._table = table
+
+    def __getitem__(self, key: Hashable) -> float:
+        return float(self._table.costs[self._table.index[key]])
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+
 def greedy_weighted_set_cover(
     universe: Set,
     sets: Mapping[Hashable, FrozenSet],
@@ -93,8 +219,14 @@ def greedy_weighted_set_cover(
     smaller key (total order -> deterministic output).  Raises
     :class:`GraphError` if some element of the universe appears in no set.
 
-    An optional cooperative ``budget`` is charged one unit per candidate set
-    scanned; on exhaustion the raised :class:`BudgetExceeded` carries the
+    ``sets`` may be a :class:`CoverTable` with ``costs`` its
+    :attr:`~CoverTable.cost_map`; the table is then used as is.  Any other
+    ``(sets, costs)`` pair is encoded into a fresh table first.  Weights are
+    summed in matrix order, so with non-dyadic float ``element_weights`` a
+    score may differ from a sequential sum in the last bit.
+
+    An optional cooperative ``budget`` is charged ``len(sets)`` units per
+    pick; on exhaustion the raised :class:`BudgetExceeded` carries the
     partial :class:`CoverSolution` built so far (covering only part of the
     universe) as its ``partial`` attribute.
     """
@@ -108,13 +240,100 @@ def greedy_weighted_set_cover(
         sets=len(sets),
         beta=beta,
         strategy=strategy,
-    ):
-        return _greedy_cover(
-            universe, sets, costs, beta, element_weights, strategy, budget
+    ) as cover_span:
+        if not (isinstance(sets, CoverTable) and costs is sets.cost_map):
+            sets = CoverTable.encode(sets, costs)
+        solution = _greedy_cover(
+            universe, sets, beta, element_weights, strategy, budget
         )
+        cover_span.set_tag("picks", len(solution.steps))
+        return solution
 
 
 def _greedy_cover(
+    universe: Set,
+    table: CoverTable,
+    beta: float,
+    element_weights: Optional[Mapping],
+    strategy: str,
+    budget: Optional["SolverBudget"],
+) -> CoverSolution:
+    """The greedy loop on a :class:`CoverTable`, pick for pick the reference's."""
+    uncovered: Set = set(universe)
+    missing = uncovered - table.reachable
+    if missing:
+        raise GraphError(f"elements {sorted(missing)!r} appear in no candidate set")
+
+    row_of, holders = table.row, table._holders
+    if element_weights is None:
+        element_weight = np.ones(len(table.elements))
+    else:
+        element_weight = np.array(
+            [element_weights.get(element, 1.0) for element in table.elements],
+            dtype=np.float64,
+        )
+    # Live frequency and weight of every key, summed row by row.
+    counts = np.zeros(len(table), dtype=np.int64)
+    weights = np.zeros(len(table), dtype=np.float64)
+    for row in sorted(row_of[element] for element in uncovered):
+        counts[holders[row]] += 1
+        weights[holders[row]] += element_weight[row]
+    # f = gain*w - penalty: the paper's benefit, or w - cost for "savings".
+    # Keys that cover nothing more score -inf.
+    gain = 1.0 if strategy == "savings" else beta
+    penalty = table.costs if strategy == "savings" else (1.0 - beta) * table.costs
+    score = gain * weights - penalty
+    score[counts == 0] = -np.inf
+
+    steps: List[CoverStep] = []
+    covered_by: Dict = {}
+    while uncovered:
+        if budget is not None:
+            try:
+                budget.spend(max(1, len(table)))
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(
+                    f"greedy cover interrupted with {len(uncovered)} of "
+                    f"{len(covered_by) + len(uncovered)} elements uncovered: "
+                    f"{exc}",
+                    partial=CoverSolution(
+                        steps=tuple(steps), covered_by=dict(covered_by)
+                    ),
+                ) from exc
+        # Rank (f, frequency, -cost), then the lowest index (tie order).
+        # A spent key can tie only at -inf, and then loses on frequency.
+        best_score = score.max()
+        best = np.flatnonzero(score == best_score)
+        best = best[counts[best] == counts[best].max()]
+        best = best[table.costs[best] == table.costs[best].min()]
+        index = int(best[0])
+        key = table.ordered_keys[index]
+        newly = table[key] & uncovered
+        steps.append(
+            CoverStep(
+                color=key,
+                benefit=float(best_score),
+                frequency=len(newly),
+                cost=float(table.costs[index]),
+                newly_covered=frozenset(newly),
+            )
+        )
+        for element in newly:
+            covered_by[element] = key
+            row = row_of[element]
+            counts[holders[row]] -= 1
+            weights[holders[row]] -= element_weight[row]
+        touched = np.concatenate([holders[row_of[element]] for element in newly])
+        score[touched] = np.where(
+            counts[touched] > 0,
+            gain * weights[touched] - penalty[touched],
+            -np.inf,
+        )
+        uncovered -= newly
+    return CoverSolution(steps=tuple(steps), covered_by=covered_by)
+
+
+def _greedy_cover_reference(
     universe: Set,
     sets: Mapping[Hashable, FrozenSet],
     costs: Mapping[Hashable, float],
@@ -123,6 +342,11 @@ def _greedy_cover(
     strategy: str,
     budget: Optional["SolverBudget"],
 ) -> CoverSolution:
+    """The paper's greedy loop over plain mappings: rescan every set per pick.
+
+    Kept as the oracle that tests and benchmarks hold :func:`_greedy_cover`
+    to; production code never calls it.
+    """
     weights = element_weights if element_weights is not None else {}
     uncovered: Set = set(universe)
     reachable: Set = set()

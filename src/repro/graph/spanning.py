@@ -122,7 +122,8 @@ def build_spanning_forest(
     vertices breadth-first (so trees have minimal height), and whenever
     progress stalls, promote a new root chosen as the minimum-eccentricity
     vertex of the component (over remaining vertices) containing the smallest
-    remaining vertex.
+    remaining vertex.  Only the chosen colors' edges are read, so only they
+    are materialized (span tag ``edges_materialized``).
     """
     colors: Set[int] = set(solution_colors)
     if depth_limit is not None and depth_limit < 1:
@@ -133,8 +134,11 @@ def build_spanning_forest(
         vertices=len(graph.vertices),
         colors=len(colors),
         depth_limit=depth_limit,
-    ):
-        return _build_forest(graph, colors, limit)
+    ) as forest_span:
+        before = graph.edges_materialized
+        forest = _build_forest(graph, colors, limit)
+        forest_span.set_tag("edges_materialized", graph.edges_materialized - before)
+        return forest
 
 
 def _build_forest(

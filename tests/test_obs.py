@@ -257,6 +257,21 @@ def test_synthesis_pipeline_produces_expected_span_taxonomy(tmp_path):
     assert {"graph.build", "cover.greedy", "spanning.forest"} <= names
 
 
+def test_synthesis_spans_carry_explanatory_counts(tmp_path):
+    from repro.core import optimize
+
+    obs.configure(trace_path=tmp_path / "t.jsonl")
+    plan = optimize([7, 66, 17, 9, 27, 41, 56, 11], 8)
+    records = load_trace(obs.finalize()["trace"])
+    tags = {r["name"]: r["tags"] for r in records if r["kind"] == "span"}
+    build = tags["graph.build"]
+    assert build["table_keys"] == build["colors"] == len(plan.graph.colors)
+    assert tags["cover.greedy"]["picks"] == len(plan.cover.steps)
+    materialized = tags["spanning.forest"]["edges_materialized"]
+    assert materialized == plan.graph.edges_materialized
+    assert 0 < materialized < build["edges"]
+
+
 # --- trace-context propagation ----------------------------------------------
 
 

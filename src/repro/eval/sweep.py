@@ -28,7 +28,7 @@
 epoch) and ``should_stop`` abort the whole sweep between task completions
 with :class:`~repro.errors.SweepAborted`.  A
 :class:`~repro.robust.ProcessFaultPlan` (``chaos``) threads deterministic
-worker kills, slow tasks and cache-write faults through the computation.
+worker kills and slow tasks through the computation.
 """
 
 from __future__ import annotations
@@ -592,11 +592,10 @@ def _effective_deadline(
 
 def _worker_init(
     cache_dir: Optional[str],
-    chaos: Optional[ProcessFaultPlan],
     obs_args: Optional[Tuple[str, bool]] = None,
     msd_snapshot: Optional[Tuple] = None,
 ) -> None:
-    """Pool initializer: disk cache, chaos arming, obs, warm MSD tables.
+    """Pool initializer: disk cache, obs, warm MSD tables.
 
     ``msd_snapshot`` hands the parent's memoized MSD digit tables to the
     worker — a no-op under fork (the tables are inherited), load-bearing
@@ -605,10 +604,6 @@ def _worker_init(
     disk_cache.configure(cache_dir)
     obs.worker_configure(obs_args)
     msd.restore_tables(msd_snapshot)
-    if chaos is not None:
-        injector = chaos.cache_injector()
-        if injector is not None:
-            disk_cache.install_fault_injector(injector)
 
 
 def _worker_run(
@@ -652,32 +647,23 @@ def _precompute_in_process(
 
     Worker-kill faults are *not* fired here — they would SIGKILL the parent
     itself, which is the scenario the journal (not the pool supervision)
-    protects against; slow and cache-write faults still fire.
+    protects against; slow faults still fire.
     """
-    injector = chaos.cache_injector() if chaos is not None else None
-    previous = (
-        disk_cache.install_fault_injector(injector)
-        if injector is not None else None
-    )
     results: List[TaskOutcome] = []
-    try:
-        for task in pending:
-            if check_abort is not None:
-                reason = check_abort()
-                if reason is not None:
-                    raise SweepAborted(reason)
-            if chaos is not None:
-                delay = chaos.slow_delay(task_key(task))
-                if delay > 0.0:
-                    time.sleep(delay)
-            outcome = _compute_task(
-                task, _effective_deadline(deadline_s, deadline_at)
-            )
-            journal.append(outcome)
-            results.append(outcome)
-    finally:
-        if injector is not None:
-            disk_cache.install_fault_injector(previous)
+    for task in pending:
+        if check_abort is not None:
+            reason = check_abort()
+            if reason is not None:
+                raise SweepAborted(reason)
+        if chaos is not None:
+            delay = chaos.slow_delay(task_key(task))
+            if delay > 0.0:
+                time.sleep(delay)
+        outcome = _compute_task(
+            task, _effective_deadline(deadline_s, deadline_at)
+        )
+        journal.append(outcome)
+        results.append(outcome)
     return results
 
 
@@ -718,8 +704,7 @@ def _run_wave(
             max_workers=workers,
             initializer=_worker_init,
             initargs=(
-                worker_dir, chaos, obs.worker_args(),
-                msd.table_snapshot(),
+                worker_dir, obs.worker_args(), msd.table_snapshot(),
             ),
         )
         future_map = {

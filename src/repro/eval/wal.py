@@ -58,6 +58,8 @@ class ChecksumLog:
     def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
         self._fh = None
+        #: Byte length of the records written and fsync'd so far.
+        self._size = 0
 
     # -- construction --------------------------------------------------------
 
@@ -126,6 +128,7 @@ class ChecksumLog:
         if valid_bytes < target.stat().st_size:
             fab.truncate(target, valid_bytes)
         log._fh = fab.open(target, "a")
+        log._size = valid_bytes
         return log, records[1:]
 
     # -- I/O -----------------------------------------------------------------
@@ -152,11 +155,40 @@ class ChecksumLog:
     def _write_record(self, record: Mapping[str, object]) -> None:
         """Write + fsync one record without acknowledging it durable."""
         if self._fh is None:
-            raise JournalError(f"log {self.path} is not open for append")
+            raise JournalError(
+                f"log {self.path} is not open for append (closed, or a "
+                f"failed append could not be rolled back)"
+            )
         fab = iofabric.active()
         body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._fh.write(f"{checksum(body)} {body}\n")
-        fab.fsync(self._fh)
+        line = f"{checksum(body)} {body}\n"
+        try:
+            self._fh.write(line)
+            fab.fsync(self._fh)
+        except OSError:
+            self._rewind(fab)
+            raise
+        self._size += len(line.encode("utf-8"))
+
+    def _rewind(self, fab: iofabric.IoFabric) -> None:
+        """Cut the file back to its last fsync'd record after a failed append.
+
+        The failed record can still sit in the handle's buffer (or already
+        on disk); left there, the next append's fsync would make durable a
+        record whose caller was told it failed.  If this repair fails too,
+        the log stays closed: nothing may be appended after a record that
+        was reported as failed.
+        """
+        fh, self._fh = self._fh, None
+        try:
+            fh.close()
+        except OSError:
+            pass
+        try:
+            fab.truncate(self.path, self._size)
+            self._fh = fab.open(self.path, "a")
+        except OSError:
+            pass
 
     def _ack(self, record: Mapping[str, object]) -> None:
         # The ack names what was just promised durable, so the durability

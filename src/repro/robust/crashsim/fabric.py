@@ -14,8 +14,9 @@ Every ``open``/``write``/``fsync``/``replace``/``unlink``/``mkdir``/
 * :class:`BrokenFsyncFabric` deliberately swallows matching fsyncs — the
   "remove one fsync" probe that proves the certifier catches a real
   durability hole.
-* :class:`FaultPointFabric` raises ``ENOSPC`` at a chosen operation — the
-  mid-compaction / mid-artifact-write fault the store tests inject.
+* :class:`FaultPointFabric` raises ``ENOSPC`` at chosen operations, or
+  tears a chosen rename — the one way tests inject disk faults into the
+  store, the journals and the disk cache.
 
 Workloads additionally mark acknowledgement points with :meth:`IoFabric.ack`
 (the moment an ``append()`` returns or an HTTP 2xx becomes reachable); acks
@@ -30,9 +31,9 @@ import errno
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, IO, List, Optional, Tuple
+from typing import Callable, IO, List, Optional, Set, Tuple
 
 __all__ = [
     "BrokenFsyncFabric",
@@ -42,10 +43,16 @@ __all__ = [
     "IoOp",
     "RealIo",
     "SimDisk",
+    "TORN",
     "active",
     "install",
     "scope",
 ]
+
+
+#: A :class:`FaultPointFabric` predicate verdict asking for a torn
+#: ``replace`` instead of an ``ENOSPC``.
+TORN = "torn"
 
 
 @dataclass(frozen=True)
@@ -413,39 +420,64 @@ class BrokenFsyncFabric(_Delegating):
 
 
 class FaultPointFabric(_Delegating):
-    """Raise ``ENOSPC`` when ``predicate(kind, path)`` first matches.
+    """Fail the operations ``predicate(kind, path)`` picks, once per target.
 
-    ``kind`` is the op vocabulary name (``write``/``replace``/...); the
-    fault fires once (arm again by resetting :attr:`fired`), so a retry
-    after the failure exercises the recovery path against a healthy disk.
+    ``kind`` is the op vocabulary name (``open``/``mkstemp``/``write``/
+    ``fsync``/``replace``).  A truthy verdict raises ``ENOSPC`` before the
+    operation touches the disk; a :data:`TORN` verdict on ``replace``
+    instead publishes the first half of the source file under the
+    destination name — the state a crash leaves behind a rename whose data
+    was never fsync'd.  Every handle this fabric opens is a
+    :class:`FabricFile`, so ``write`` is a fault point and ``fsync`` sees
+    the file's path whatever the inner fabric.  Each distinct
+    ``(kind, path)`` fires at most once and is recorded in :attr:`fired`:
+    a retry of the failed operation runs against a healthy disk, while
+    operations on other paths (every cache key, every temp file) still
+    fault.
     """
 
     def __init__(
-        self, inner: IoFabric, predicate: Callable[[str, str], bool]
+        self, inner: IoFabric, predicate: Callable[[str, str], object]
     ) -> None:
         super().__init__(inner)
         self.predicate = predicate
-        self.fired = False
+        self.fired: Set[Tuple[str, str]] = set()
+        self._lock = threading.Lock()
 
-    def _maybe_fail(self, kind: str, path) -> None:
-        if not self.fired and self.predicate(kind, str(path)):
-            self.fired = True
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+    def _fault(self, kind: str, path) -> object:
+        target = (kind, str(path))
+        with self._lock:
+            if target in self.fired:
+                return None
+            verdict = self.predicate(*target)
+            if not verdict:
+                return None
+            self.fired.add(target)
+        if verdict == TORN and kind == "replace":
+            return verdict
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    def _wrap(self, fh, path) -> FabricFile:
+        return FabricFile(
+            fh, Path(path), on_write=lambda p, _: self._fault("write", p)
+        )
 
     def open(self, path, mode="w"):
-        self._maybe_fail("open", path)
-        return self.inner.open(path, mode)
+        self._fault("open", path)
+        return self._wrap(self.inner.open(path, mode), path)
 
     def mkstemp(self, directory, prefix, suffix):
-        self._maybe_fail("mkstemp", directory)
-        return self.inner.mkstemp(directory, prefix, suffix)
+        self._fault("mkstemp", directory)
+        fh, name = self.inner.mkstemp(directory, prefix, suffix)
+        return self._wrap(fh, name), name
 
     def fsync(self, fh) -> None:
-        self._maybe_fail("fsync", getattr(fh, "fabric_path", ""))
+        self._fault("fsync", getattr(fh, "fabric_path", ""))
         self.inner.fsync(fh)
 
     def replace(self, src, dst) -> None:
-        self._maybe_fail("replace", dst)
+        if self._fault("replace", dst):
+            self.inner.truncate(src, os.path.getsize(src) // 2)
         self.inner.replace(src, dst)
 
 

@@ -100,9 +100,6 @@ class ServiceConfig:
     #: Optional process-level fault plan threaded into every sweep
     #: (chaos tests only; never set in production configs).
     chaos: Optional[object] = None
-    #: Optional :class:`~repro.robust.chaos.StoreFaultInjector` failing
-    #: WAL appends (chaos tests only).
-    store_chaos: Optional[object] = None
 
     @property
     def journal_dir(self) -> Path:
@@ -127,9 +124,7 @@ class SynthesisService:
             # cache_dir=None to every sweep: per-job reconfiguration would
             # race between concurrent dispatcher threads.
             disk_cache.configure(config.cache_dir)
-        self.store = JobStore(
-            config.store_dir, fault_injector=config.store_chaos
-        )
+        self.store = JobStore(config.store_dir)
         self.queue = FairQueue(
             config.max_queue_depth, config.max_queue_depth_per_tenant
         )

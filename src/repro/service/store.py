@@ -40,7 +40,13 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import JobStateError, ReproError, SpecError, StoreUnavailable
+from ..errors import (
+    JobStateError,
+    JournalError,
+    ReproError,
+    SpecError,
+    StoreUnavailable,
+)
 from ..eval.sweep import resolve_experiment_ids, sweep_signature
 from ..eval.wal import ChecksumLog
 from ..filters import TABLE1_SPECS
@@ -267,7 +273,6 @@ class JobStore:
         self,
         root: os.PathLike,
         clock: Callable[[], float] = time.time,
-        fault_injector: Optional[object] = None,
     ) -> None:
         self.root = Path(root)
         iofabric.active().makedirs_durable(self.root)
@@ -276,9 +281,6 @@ class JobStore:
         #: Signalled on every durable state change; the long-poll endpoint
         #: waits on it instead of hot-polling the table.
         self._changed = threading.Condition(self._lock)
-        #: Chaos hook (``StoreFaultInjector``): consulted before each WAL
-        #: append so tests can fail writes deterministically.
-        self.fault_injector = fault_injector
         #: WAL appends that failed and were rolled back (never acknowledged).
         self.append_errors = 0
         self._jobs: Dict[str, JobRecord] = {}
@@ -387,24 +389,14 @@ class JobStore:
 
     # -- submission and lifecycle ---------------------------------------------
 
-    def _append_locked(self, record: JobRecord) -> None:
-        """One WAL append, chaos hook included; raises ``OSError`` raw.
-
-        Callers are responsible for rolling the in-memory table back when
-        this raises — a record that never reached the WAL must never be
-        visible, or a crash would silently lose an "accepted" job.
-        """
-        injector = self.fault_injector
-        if injector is not None:
-            fault = injector.draw_append(record.job_id)
-            if fault == "enospc":
-                raise injector.enospc_error(record.job_id)
-        self._log.append(record.as_dict())
-
     def _rollback_append_error(
-        self, job_id: str, previous: Optional[JobRecord], exc: OSError
+        self, job_id: str, previous: Optional[JobRecord], exc: Exception
     ) -> StoreUnavailable:
-        """Undo an in-memory update whose WAL append failed; build the 503."""
+        """Undo an in-memory update whose WAL append failed; build the 503.
+
+        A record that never reached the WAL must never be visible, or a
+        crash would silently lose an "accepted" job.
+        """
         if previous is None:
             self._jobs.pop(job_id, None)
         else:
@@ -490,8 +482,8 @@ class JobStore:
             )
             self._jobs[job_id] = record
             try:
-                self._append_locked(record)
-            except OSError as exc:
+                self._log.append(record.as_dict())
+            except (OSError, JournalError) as exc:
                 # ENOSPC hardening: the job was never acknowledged, so it
                 # must not survive in memory either — a client retry after
                 # the 503 resubmits from scratch, exactly once.
@@ -522,8 +514,8 @@ class JobStore:
         )
         self._jobs[job_id] = updated
         try:
-            self._append_locked(updated)
-        except OSError as exc:
+            self._log.append(updated.as_dict())
+        except (OSError, JournalError) as exc:
             raise self._rollback_append_error(job_id, record, exc) from exc
         self._changed.notify_all()
         return updated

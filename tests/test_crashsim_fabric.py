@@ -4,8 +4,9 @@ The crash-state enumerator and the durability linter are only as good as
 the op log they consume, so this file pins the recording contract hard:
 every durable-relevant operation inside the sandbox is journaled in
 order, out-of-sandbox IO passes through invisibly, temp names are
-deterministic, and the two fault wrappers (swallowed fsync, one-shot
-ENOSPC) behave exactly as the certification story assumes.
+deterministic, and the two fault wrappers (swallowed fsync; ENOSPC or a
+torn rename once per target) behave exactly as the certification story
+and the store, journal and cache fault tests assume.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 from repro.robust.crashsim import fabric as iofabric
 from repro.robust.crashsim.fabric import (
+    TORN,
     BrokenFsyncFabric,
     FaultPointFabric,
     RealIo,
@@ -193,16 +195,39 @@ class TestBrokenFsyncFabric:
 
 class TestFaultPointFabric:
     def test_fires_once_then_recovers(self, tmp_path):
+        # Once per distinct (kind, path): every target faults, a retry of
+        # the same target succeeds.
         fab = FaultPointFabric(
             RealIo(), lambda kind, path: kind == "open" and "target" in path
         )
-        with pytest.raises(OSError) as excinfo:
-            fab.open(tmp_path / "target", "w")
-        assert excinfo.value.errno == errno.ENOSPC
-        assert fab.fired
-        with fab.open(tmp_path / "target", "w") as fh:  # second try succeeds
+        for name in ("target-a", "target-b"):
+            with pytest.raises(OSError) as excinfo:
+                fab.open(tmp_path / name, "w")
+            assert excinfo.value.errno == errno.ENOSPC
+        assert fab.fired == {
+            ("open", str(tmp_path / "target-a")),
+            ("open", str(tmp_path / "target-b")),
+        }
+        with fab.open(tmp_path / "target-a", "w") as fh:  # retry succeeds
             fh.write("ok")
-        assert (tmp_path / "target").read_text(encoding="utf-8") == "ok"
+        assert (tmp_path / "target-a").read_text(encoding="utf-8") == "ok"
+        assert len(fab.fired) == 2
+
+    def test_write_fault_leaves_zero_bytes(self, tmp_path):
+        fab = FaultPointFabric(RealIo(), lambda kind, path: kind == "write")
+        with fab.open(tmp_path / "f", "w") as fh:
+            with pytest.raises(OSError) as excinfo:
+                fh.write("payload")
+        assert excinfo.value.errno == errno.ENOSPC
+        assert (tmp_path / "f").read_bytes() == b""
+        fh, name = fab.mkstemp(tmp_path, prefix=".t-", suffix=".tmp")
+        with fh:
+            with pytest.raises(OSError):
+                fh.write("payload")
+        assert fab.fired == {
+            ("write", str(tmp_path / "f")), ("write", name),
+        }
+        assert (tmp_path / name).read_bytes() == b""
 
     def test_replace_fault_leaves_destination_untouched(self, tmp_path):
         (tmp_path / "dst").write_text("old", encoding="utf-8")
@@ -214,13 +239,43 @@ class TestFaultPointFabric:
             fab.replace(tmp_path / "src", tmp_path / "dst")
         assert (tmp_path / "dst").read_text(encoding="utf-8") == "old"
 
-    def test_fsync_fault_sees_fabric_path(self, tmp_path):
-        sim = SimDisk(tmp_path)
+    def test_torn_replace_publishes_half_and_cache_quarantines(
+        self, tmp_path
+    ):
+        from repro.eval.cache import DiskCache
+
+        (tmp_path / "src").write_bytes(b"0123456789")
         fab = FaultPointFabric(
-            sim, lambda kind, path: kind == "fsync" and path.endswith("wal")
+            RealIo(), lambda kind, path: TORN if kind == "replace" else False
         )
-        with fab.open(tmp_path / "wal", "w") as fh:
-            fh.write("rec")
-            with pytest.raises(OSError):
-                fab.fsync(fh)
-        assert fab.fired
+        fab.replace(tmp_path / "src", tmp_path / "dst")
+        assert (tmp_path / "dst").read_bytes() == b"01234"
+        assert not (tmp_path / "src").exists()
+
+        cache = DiskCache(tmp_path / "cache")
+        key = "ab" * 32
+        with iofabric.scope(fab):
+            cache.put(key, {"adders": 12, "method": "mrpf"})
+            cache.put_text(key, "module m;\nendmodule\n")
+        assert cache.stats.stores == 2
+        assert cache.get(key) is None
+        assert cache.get_text(key) is None
+        assert cache.stats.quarantined == 2
+        assert cache.quarantined_entries() == 2
+
+    def test_fsync_fault_sees_fabric_path(self, tmp_path):
+        # The path reaches the predicate whatever the inner fabric: the
+        # handles this fabric opens carry it even over plain RealIo.
+        for inner in (RealIo(), SimDisk(tmp_path)):
+            path = tmp_path / f"{type(inner).__name__}.wal"
+            fab = FaultPointFabric(
+                inner,
+                lambda kind, p: kind == "fsync" and p.endswith("wal"),
+            )
+            with fab.open(path, "w") as fh:
+                fh.write("rec")
+                with pytest.raises(OSError):
+                    fab.fsync(fh)
+                fab.fsync(fh)  # one shot per path: the retry goes through
+            assert fab.fired == {("fsync", str(path))}
+            assert path.read_text(encoding="utf-8") == "rec"

@@ -206,47 +206,8 @@ class TestProcessFaultPlan:
         assert always.slow_delay("k") == 0.25
         assert never.slow_delay("k") == 0.0
 
-    def test_cache_injector_derivation(self):
-        from repro.robust import CacheFaultInjector, ProcessFaultPlan
-
-        assert ProcessFaultPlan(seed=1).cache_injector() is None
-        injector = ProcessFaultPlan(
-            seed=1, cache_truncate_rate=0.5, cache_enospc_rate=0.25
-        ).cache_injector()
-        assert isinstance(injector, CacheFaultInjector)
-        assert injector.seed == 1
-
     def test_fault_classes_exported(self):
         from repro.robust import PROCESS_FAULT_CLASSES
 
-        assert set(PROCESS_FAULT_CLASSES) == {
-            "kill", "slow", "cache_truncate", "cache_enospc"
-        }
-
-
-class TestCacheFaultInjector:
-    def test_draws_deterministic(self):
-        from repro.robust import CacheFaultInjector
-
-        injector = CacheFaultInjector(seed=5, truncate_rate=0.5,
-                                      enospc_rate=0.25)
-        keys = [f"{i:064x}" for i in range(64)]
-        draws = [injector.draw_put(k) for k in keys]
-        assert draws == [injector.draw_put(k) for k in keys]
-        assert {"truncate", "enospc", None} >= set(draws)
-        assert any(d is not None for d in draws)
-
-    def test_rates_validated(self):
-        from repro.robust import CacheFaultInjector
-
-        with pytest.raises(ReproError):
-            CacheFaultInjector(truncate_rate=2.0)
-
-    def test_enospc_error_is_enospc(self):
-        import errno
-
-        from repro.robust import CacheFaultInjector
-
-        injector = CacheFaultInjector(seed=0, enospc_rate=1.0)
-        assert injector.draw_put("aa") == "enospc"
-        assert injector.enospc_error("aa").errno == errno.ENOSPC
+        # Disk faults go through the IO fabric, not the process plan.
+        assert PROCESS_FAULT_CLASSES == ("kill", "slow")

@@ -390,26 +390,34 @@ class TestArtifacts:
 @pytest.fixture()
 def flaky_store(tmp_path):
     """An idle server whose first WAL append fails with ENOSPC."""
-    from repro.robust.chaos import StoreFaultInjector
+    from repro.robust.crashsim import fabric as iofabric
+    from repro.robust.crashsim.fabric import FaultPointFabric, RealIo
+    from repro.service.store import JobStore
 
-    config = ServiceConfig(
-        data_dir=tmp_path / "data", port=0,
-        store_chaos=StoreFaultInjector(seed=3, enospc_rate=1.0, max_faults=1),
+    config = ServiceConfig(data_dir=tmp_path / "data", port=0)
+    # The fault covers writes to an existing WAL, not a fresh store's
+    # header, so the store is created before the fabric is armed.
+    JobStore(config.store_dir).close()
+    fab = FaultPointFabric(
+        RealIo(),
+        lambda kind, path: kind == "write" and path.endswith("jobs.wal"),
     )
-    service = SynthesisService(config)
+    with iofabric.scope(fab):
+        service = SynthesisService(config)
 
-    class _Handler(ServiceHTTPHandler):
-        pass
+        class _Handler(ServiceHTTPHandler):
+            pass
 
-    _Handler.service = service
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    server.daemon_threads = True
-    thread = Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield {"port": server.server_address[1], "service": service}
-    server.shutdown()
-    server.server_close()
-    service.store.close()
+        _Handler.service = service
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+        server.daemon_threads = True
+        thread = Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield {"port": server.server_address[1], "service": service}
+        server.shutdown()
+        server.server_close()
+        service.store.close()
+    assert fab.fired
 
 
 class TestStoreUnavailable:
@@ -424,8 +432,8 @@ class TestStoreUnavailable:
         # Never acknowledged: the job does not exist server-side.
         listing = request_json(port, "GET", "/v1/jobs")[2]
         assert listing["jobs"] == []
-        # The injector spends its single fault above, so the client's
-        # retry — the behavior Retry-After asks for — succeeds.
+        # The fault fires once per (kind, path), so the client's retry —
+        # the behavior Retry-After asks for — succeeds.
         status, _, view = request_json(port, "POST", "/v1/jobs", dict(SPEC))
         assert status == 201 and view["state"] == "queued"
 

@@ -10,12 +10,20 @@ maps to the same job id.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import pytest
 
-from repro.errors import JobStateError, SpecError
+from repro.errors import (
+    JobStateError,
+    JournalError,
+    SpecError,
+    StoreUnavailable,
+)
 from repro.eval.wal import ChecksumLog, checksum
+from repro.robust.crashsim import fabric as iofabric
+from repro.robust.crashsim.fabric import FaultPointFabric, RealIo, SimDisk
 from repro.service.store import JobSpec, JobState, JobStore
 
 
@@ -358,54 +366,127 @@ class TestConcurrency:
         assert sum(1 for _, enqueue in results if enqueue) == 1
 
 
+@contextlib.contextmanager
+def faulted_store(root, predicate):
+    """A store over ``root`` reopened under a :class:`FaultPointFabric`.
+
+    A fresh store's header write to ``jobs.wal`` is a ``write`` as well, so
+    the WAL is created first and the fault only covers the reopened store.
+    """
+    JobStore(root).close()
+    fab = FaultPointFabric(SimDisk(root), predicate)
+    with iofabric.scope(fab):
+        store = JobStore(root)
+        try:
+            yield store
+        finally:
+            store.close()
+    assert fab.fired
+
+
+def wal_fault(kind):
+    return lambda k, path: k == kind and path.endswith("jobs.wal")
+
+
+def recovered_jobs(root):
+    """The records a fresh recovery of the store at ``root`` lists."""
+    store = JobStore(root)
+    try:
+        return store.list_jobs()
+    finally:
+        store.close()
+
+
 class TestWalFaults:
-    """A failed WAL append must never acknowledge — or corrupt — a job."""
+    """A failed WAL append must never acknowledge — or corrupt — a job.
 
-    def _store(self, tmp_path, **injector_options):
-        from repro.robust.chaos import StoreFaultInjector
+    Each case runs for both ways an append fails: at the ``write`` (no
+    byte reaches the file) and at the ``fsync`` (the record already sits
+    in the handle's buffer).
+    """
 
-        injector = StoreFaultInjector(**injector_options)
-        return JobStore(tmp_path, fault_injector=injector), injector
+    KINDS = ("write", "fsync")
 
     def test_enospc_on_submit_never_acknowledges(self, tmp_path):
-        from repro.errors import StoreUnavailable
-
-        store, _ = self._store(tmp_path, seed=3, enospc_rate=1.0)
-        with pytest.raises(StoreUnavailable) as excinfo:
-            store.submit(make_spec(), "t", 30.0, 300.0)
-        assert excinfo.value.retry_after_s > 0.0
-        # Rolled back completely: the job is unknown in memory...
-        assert store.list_jobs() == []
-        assert store.append_errors == 1
-        # ...and on disk — a fresh recovery sees an empty table.
-        assert JobStore(tmp_path).list_jobs() == []
+        for kind in self.KINDS:
+            root = tmp_path / kind
+            with faulted_store(root, wal_fault(kind)) as store:
+                with pytest.raises(StoreUnavailable) as excinfo:
+                    store.submit(make_spec(), "t", 30.0, 300.0)
+                assert excinfo.value.retry_after_s > 0.0
+                # Rolled back completely: the job is unknown in memory...
+                assert store.list_jobs() == []
+                assert store.append_errors == 1
+            # ...and on disk — a fresh recovery sees an empty table.
+            assert recovered_jobs(root) == [], kind
 
     def test_retry_after_transient_enospc_succeeds(self, tmp_path):
-        from repro.errors import StoreUnavailable
-
-        store, _ = self._store(
-            tmp_path, seed=3, enospc_rate=1.0, max_faults=1
-        )
-        with pytest.raises(StoreUnavailable):
-            store.submit(make_spec(), "t", 30.0, 300.0)
-        record, enqueue = store.submit(make_spec(), "t", 30.0, 300.0)
-        assert enqueue and record.state == JobState.QUEUED
+        for kind in self.KINDS:
+            root = tmp_path / kind
+            with faulted_store(root, wal_fault(kind)) as store:
+                with pytest.raises(StoreUnavailable):
+                    store.submit(make_spec(), "t", 30.0, 300.0)
+                # The fault fires once per (kind, path): the retry of the
+                # same WAL append reaches a healthy disk.
+                record, enqueue = store.submit(make_spec(), "t", 30.0, 300.0)
+                assert enqueue and record.state == JobState.QUEUED
+            assert [r.job_id for r in recovered_jobs(root)] == [
+                record.job_id
+            ]
 
     def test_enospc_on_transition_keeps_previous_state(self, tmp_path):
-        from repro.errors import StoreUnavailable
-        from repro.robust.chaos import StoreFaultInjector
+        for kind in self.KINDS:
+            root = tmp_path / kind
+            store = JobStore(root)
+            record, _ = store.submit(make_spec(), "t", 30.0, 300.0)
+            store.close()
+            with faulted_store(root, wal_fault(kind)) as store:
+                before = store.get(record.job_id)
+                with pytest.raises(StoreUnavailable):
+                    store.transition(record.job_id, JobState.RUNNING)
+                after = store.get(record.job_id)
+                assert after.state == JobState.QUEUED
+                assert after.revision == before.revision
+            # The failed transition is absent from durable history too.
+            assert [
+                (r.job_id, r.state) for r in recovered_jobs(root)
+            ] == [(record.job_id, JobState.QUEUED)], kind
 
-        store = JobStore(tmp_path)
-        record, _ = store.submit(make_spec(), "t", 30.0, 300.0)
-        before = store.get(record.job_id)
-        store.fault_injector = StoreFaultInjector(seed=3, enospc_rate=1.0)
-        with pytest.raises(StoreUnavailable):
-            store.transition(record.job_id, JobState.RUNNING)
-        after = store.get(record.job_id)
-        assert after.state == JobState.QUEUED
-        assert after.revision == before.revision
-        # The failed transition is absent from durable history too.
-        assert JobStore(tmp_path).get(record.job_id).state == JobState.QUEUED
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_failed_append_not_made_durable_by_the_next(self, tmp_path, kind):
+        with faulted_store(tmp_path, wal_fault(kind)) as store:
+            with pytest.raises(StoreUnavailable):
+                store.submit(make_spec(filters=[0]), "t", 30.0, 300.0)
+            assert store.list_jobs() == [] and store.append_errors == 1
+            accepted, _ = store.submit(
+                make_spec(filters=[1]), "t", 30.0, 300.0
+            )
+        # Only the acknowledged job survives a restart: the failed record
+        # must not ride along with the next append's fsync.
+        assert [r.job_id for r in recovered_jobs(tmp_path)] == [
+            accepted.job_id
+        ]
+
+    def test_unrepairable_log_refuses_further_appends(self, tmp_path):
+        # The fsync fails and so does the reopen that would repair the
+        # log: later appends must fail too, never land after the record
+        # that was reported as failed.
+        armed = []
+
+        def predicate(kind, path):
+            return armed and kind in ("fsync", "open") and path.endswith(
+                "jobs.wal"
+            )
+
+        with faulted_store(tmp_path, predicate) as store:
+            armed.append(True)
+            with pytest.raises(StoreUnavailable):
+                store.submit(make_spec(filters=[0]), "t", 30.0, 300.0)
+            with pytest.raises(StoreUnavailable) as excinfo:
+                store.submit(make_spec(filters=[1]), "t", 30.0, 300.0)
+            assert isinstance(excinfo.value.__cause__, JournalError)
+            assert store.list_jobs() == [] and store.append_errors == 2
+        assert recovered_jobs(tmp_path) == []
 
 
 class TestLongPollPlumbing:
@@ -459,19 +540,15 @@ class TestLongPollPlumbing:
 class TestEnospcAndReaping:
     """Satellite hardening: ENOSPC mid-operation and crash-debris cleanup.
 
-    The faults are injected through the IO fabric (one-shot ENOSPC at a
+    The faults are injected through the IO fabric (ENOSPC at a
     chosen operation), so the store's real code paths run unmodified —
     no monkeypatching of ``os``.
     """
 
     def _fault(self, predicate):
-        from repro.robust.crashsim.fabric import FaultPointFabric, RealIo
-
         return FaultPointFabric(RealIo(), predicate)
 
     def test_enospc_mid_compaction_store_keeps_serving(self, tmp_path):
-        from repro.robust.crashsim import fabric as iofabric
-
         store = JobStore(tmp_path)
         record, _ = store.submit(make_spec(), "t", 30.0, 300.0)
         store.close()
@@ -495,8 +572,6 @@ class TestEnospcAndReaping:
         healthy.close()
 
     def test_enospc_mid_result_write_leaves_no_partial_result(self, tmp_path):
-        from repro.robust.crashsim import fabric as iofabric
-
         store = JobStore(tmp_path)
         record, _ = store.submit(make_spec(), "t", 30.0, 300.0)
         fab = self._fault(
@@ -546,9 +621,6 @@ class TestDurabilityOpOrdering:
     def test_write_result_fsyncs_data_then_directory_then_acks(
         self, tmp_path
     ):
-        from repro.robust.crashsim import fabric as iofabric
-        from repro.robust.crashsim.fabric import SimDisk
-
         sim = SimDisk(tmp_path)
         with iofabric.scope(sim):
             store = JobStore(tmp_path / "store")
@@ -574,9 +646,6 @@ class TestDurabilityOpOrdering:
         assert ops[i_replace].dst == f"store/results/{record.job_id}.json"
 
     def test_wal_creation_fsyncs_parent_directory_before_ack(self, tmp_path):
-        from repro.robust.crashsim import fabric as iofabric
-        from repro.robust.crashsim.fabric import SimDisk
-
         sim = SimDisk(tmp_path)
         with iofabric.scope(sim):
             log = ChecksumLog.create(

@@ -41,6 +41,8 @@ from repro.eval.sweep import (
     task_key,
 )
 from repro.robust import ProcessFaultPlan
+from repro.robust.crashsim import fabric as iofabric
+from repro.robust.crashsim.fabric import TORN, FaultPointFabric, RealIo
 
 IDS = ["fig6"]
 RESTRICT = dict(filter_indices=[0, 1], wordlengths=[8])
@@ -50,11 +52,9 @@ RESTRICT = dict(filter_indices=[0, 1], wordlengths=[8])
 def _pristine_caches():
     clear_cache()
     disk_cache.configure(None)
-    disk_cache.install_fault_injector(None)
     yield
     clear_cache()
     disk_cache.configure(None)
-    disk_cache.install_fault_injector(None)
 
 
 def _serial_json():
@@ -266,14 +266,33 @@ class TestWorkerLossRecovery:
 
 
 class TestCacheChaos:
+    """Disk faults under every cache write of a serial sweep.
+
+    The faults come from a :class:`FaultPointFabric` scoped to the cache
+    directory; it fires once per ``(kind, path)``, and every cache entry
+    and temp file has its own path, so every ``put`` is faulted.
+    """
+
+    @staticmethod
+    def _faulted_sweep(cache_dir, verdict):
+        fab = FaultPointFabric(
+            RealIo(),
+            lambda kind, path: path.startswith(str(cache_dir))
+            and verdict(kind),
+        )
+        with iofabric.scope(fab):
+            report = run_sweep(IDS, jobs=1, cache_dir=cache_dir, **RESTRICT)
+        return report, fab
+
     def test_truncated_cache_writes_quarantined_on_read(self, tmp_path):
         want = _serial_json()
         cache_dir = tmp_path / "cache"
-        chaos = ProcessFaultPlan(seed=3, cache_truncate_rate=1.0)
-        first = run_sweep(
-            IDS, jobs=1, cache_dir=cache_dir, chaos=chaos, **RESTRICT
+        first, fab = self._faulted_sweep(
+            cache_dir, lambda kind: TORN if kind == "replace" else False
         )
         assert sweep_to_json(first.outcomes) == want
+        stores = disk_cache.active_cache().stats.stores
+        assert stores > 0 and len(fab.fired) == stores  # every put torn
         clear_cache()
         # Second run hits only corrupt entries: each is quarantined (not
         # unlinked), recomputed, and the sweep still matches serial bytes.
@@ -281,18 +300,19 @@ class TestCacheChaos:
             IDS, jobs=1, cache_dir=cache_dir, **RESTRICT
         )
         active = disk_cache.active_cache()
-        assert active.stats.quarantined > 0
+        assert active.stats.quarantined == stores
         assert active.quarantined_entries() == active.stats.quarantined
         assert sweep_to_json(second.outcomes) == want
 
     def test_enospc_faults_do_not_fail_the_sweep(self, tmp_path):
         want = _serial_json()
-        chaos = ProcessFaultPlan(seed=3, cache_enospc_rate=1.0)
-        report = run_sweep(
-            IDS, jobs=1, cache_dir=tmp_path / "cache", chaos=chaos, **RESTRICT
+        report, fab = self._faulted_sweep(
+            tmp_path / "cache", lambda kind: kind == "write"
         )
         assert not report.failed_tasks
-        assert disk_cache.active_cache().stats.put_errors > 0
+        stats = disk_cache.active_cache().stats
+        assert stats.put_errors > 0
+        assert stats.stores == 0 and len(fab.fired) == stats.put_errors
         assert sweep_to_json(report.outcomes) == want
 
 

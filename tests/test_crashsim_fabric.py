@@ -12,6 +12,7 @@ and the store, journal and cache fault tests assume.
 from __future__ import annotations
 
 import errno
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +263,43 @@ class TestFaultPointFabric:
         assert cache.get_text(key) is None
         assert cache.stats.quarantined == 2
         assert cache.quarantined_entries() == 2
+
+    def test_cache_key_faults_are_deterministic(self, tmp_path):
+        # A predicate keyed on the entry name picks the same cache keys on
+        # every run: the failed puts leave no entry and no temp file, the
+        # rest are served, and a retry of a failed key goes through.
+        import zlib
+
+        from repro.eval.cache import DiskCache
+
+        def picks(kind, path):
+            name = Path(path).name.encode()
+            return kind == "replace" and zlib.crc32(name) % 3 == 0
+
+        keys = [f"{i:064x}" for i in range(32)]
+        outcomes = []
+        for run in ("a", "b"):
+            cache = DiskCache(tmp_path / run)
+            fab = FaultPointFabric(RealIo(), picks)
+            failed = set()
+            with iofabric.scope(fab):
+                for key in keys:
+                    try:
+                        cache.put(key, {"key": key})
+                    except OSError as exc:
+                        assert exc.errno == errno.ENOSPC
+                        failed.add(key)
+            assert {Path(p).stem for _, p in fab.fired} == failed
+            assert not list(cache.root.rglob(".tmp-*"))
+            for key in keys:
+                assert (cache.get(key) is None) == (key in failed)
+            with iofabric.scope(fab):
+                for key in failed:
+                    cache.put(key, {"key": key})
+            assert all(cache.get(key) == {"key": key} for key in keys)
+            outcomes.append(failed)
+        assert outcomes[0] == outcomes[1]
+        assert 0 < len(outcomes[0]) < len(keys)
 
     def test_fsync_fault_sees_fabric_path(self, tmp_path):
         # The path reaches the predicate whatever the inner fabric: the

@@ -95,11 +95,11 @@ GATED_METRICS = (
 WARM_SPEEDUP_CAP = 10.0
 
 # Fast-path phase gates, same capped-ratio recipe (in-process ratios, so
-# they transfer across machines).  The fast graph kernel measures ~5x over
-# the reference loop; capping at 4x puts the 20%-threshold floor at 3.2x —
-# the ">= 3x faster" contract with jitter headroom.  A warm MSD table is a
-# dict hit (raw ratio 100x+); the 10x cap makes the gate about "table still
-# works", not timer noise.
+# they transfer across machines).  The array graph build measures ~50x over
+# the reference loop (2-CPU host, numpy 2.4); capping at 4x puts the
+# 20%-threshold floor at 3.2x — the ">= 3x faster" contract with jitter
+# headroom.  A warm MSD table is a dict hit (raw ratio 100x+); the 10x cap
+# makes the gate about "table still works", not timer noise.
 GRAPH_SPEEDUP_CAP = 4.0
 MSD_SPEEDUP_CAP = 10.0
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -124,9 +124,12 @@ class ColoredGraph:
             )
             colors.append(edge.color)
             by_color.setdefault(edge.color, []).append(edge)
+        weight = {color: encode(color, representation).nonzero_count
+                  for color in by_color}
         self._index(
-            vertex_list, representation, max_shift, codes, colors,
-            lambda color: encode(color, representation).nonzero_count,
+            vertex_list, representation, max_shift,
+            np.array(codes, dtype=np.int64), np.array(colors, dtype=object),
+            [weight[color] for color in colors],
         )
         self._edges = {color: tuple(found) for color, found in by_color.items()}
         self._edges_materialized = len(codes)
@@ -136,31 +139,30 @@ class ColoredGraph:
         vertex_list: List[int],
         representation: Representation,
         max_shift: int,
-        codes: List[int],
-        colors: List[int],
-        cost_of: Callable[[int], int],
+        codes: np.ndarray,
+        colors: np.ndarray,
+        costs: Sequence[int],
     ) -> None:
-        """Index the packed ``codes`` and their primary ``colors``.
+        """Index the packed ``codes``, their primary ``colors`` and digit ``costs``.
 
-        Colors are positive ints, so numeric order is the cover's tie order.
+        All three run per edge.  Colors are positive ints, so numeric order
+        is the cover's tie order; edges of one color share its cost, so any
+        of them may write it into the key's slot.
         """
         self._vertices: FrozenSet[int] = frozenset(vertex_list)
         self._vertex_list = vertex_list
         self._representation = representation
         self._max_shift = max_shift
-        keys = sorted(set(colors))
-        edge_key = np.fromiter(
-            map(dict(zip(keys, range(len(keys)))).__getitem__, colors),
-            dtype=np.intp, count=len(colors),
-        )
-        self._codes = np.array(codes, dtype=np.int64)
+        keys, edge_key = np.unique(colors, return_inverse=True)
+        self._codes = codes
         self._edge_key = edge_key
-        pairs = self._codes // (2 * (max_shift + 1))
+        pairs = codes // (2 * (max_shift + 1))
         self._dst_row = pairs % max(1, len(vertex_list))
         membership = np.zeros((len(vertex_list), len(keys)), dtype=bool)
         membership[self._dst_row, edge_key] = True
-        costs = np.array([cost_of(key) for key in keys], dtype=np.float64)
-        self._table = CoverTable(keys, vertex_list, membership, costs)
+        key_costs = np.zeros(len(keys), dtype=np.float64)
+        key_costs[edge_key] = costs
+        self._table = CoverTable(keys.tolist(), vertex_list, membership, key_costs)
         self._edges: Dict[int, Tuple[ColorEdge, ...]] = {}
         self._edges_materialized = 0
         self._into: Dict[int, Dict[int, None]] = {}
@@ -285,8 +287,9 @@ def build_colored_graph(
     ``budget`` is charged per vertex pair so oversized builds raise
     :class:`~repro.errors.BudgetExceeded` instead of stalling the pipeline.
 
-    The build is a single pass (see :func:`_fill_graph`) that records the
-    same edges, in the same order, as the plain reference loop
+    The build is one array pass per source vertex (see :func:`_fill_graph`)
+    that records the same edges, in the same order, as the plain reference
+    loop
     :func:`_build_edges`; ``tests/test_fastpath_equivalence.py`` holds the
     two element-identical.  The graph's :attr:`~ColoredGraph.cover_table`
     is built with it.
@@ -316,47 +319,69 @@ def _fill_graph(
     representation: Representation,
     budget: Optional["SolverBudget"],
 ) -> ColoredGraph:
-    """Record every edge's packed code and primary color in one pass.
+    """Record every edge's packed code, primary color and cost, a row at a time.
 
     Differs from :func:`_build_edges` in speed and in what it keeps:
 
+    * each source row's SID coefficients are one ``(dst, shift, sign)``
+      array, so an edge's code is its position in that array;
     * ``oddpart``'s trial division becomes the trailing-zero trick
-      ``magnitude & -magnitude``;
-    * digit costs come from the closed-form :func:`~repro.numrep.digit_cost`,
-      once per color;
+      ``magnitude // (magnitude & -magnitude)``;
+    * digit costs are byte-table popcounts of Reitwiesner's ``k ^ 3k`` (CSD)
+      or of ``k`` (SM), the closed forms of :func:`~repro.numrep.digit_cost`;
     * no :class:`ColorEdge` is created: an edge is its code and its color,
       and :class:`ColoredGraph` decodes a color's edges when first asked.
 
     Codes grow in the reference order (src, dst, shift, sign), so downstream
-    tie-breaking, and with it every exported artifact, is unchanged.
+    tie-breaking, and with it every exported artifact, is unchanged.  When
+    ``3 * xi`` could pass 2**62 the same arrays hold python ints instead of
+    int64, and costs come from :func:`~repro.numrep.digit_cost`.
     """
-    codes: List[int] = []
-    colors: List[int] = []
-    add_code = codes.append
-    add_color = colors.append
     count = len(vertex_list)
-    codes_per_pair = 2 * (max_shift + 1)
-    for src_index, src in enumerate(vertex_list):
-        shifted_tab = [src << s for s in range(max_shift + 1)]
-        for dst_index, dst in enumerate(vertex_list):
-            if dst_index == src_index:
-                continue
-            if budget is not None:
+    wide = count > 0 and vertex_list[-1] << (max_shift + 3) >= 1 << 62
+    dtype = object if wide else np.int64
+    values = np.array(vertex_list, dtype=dtype)
+    shifted = values[:, None] << np.arange(max_shift + 1).astype(dtype)
+    # xi[dst, shift, sign] = dst - src_sign * (src << shift), src_sign = +1, -1.
+    signs = np.array([-1, 1], dtype=dtype)
+    dst = values[:, None, None]
+    row_codes = np.arange(count * 2 * (max_shift + 1), dtype=np.int64).reshape(
+        count, max_shift + 1, 2
+    )
+    codes: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    colors: List[np.ndarray] = [np.zeros(0, dtype=dtype)]
+    for src_index in range(count):
+        if budget is not None:
+            for _ in range(count - 1):
                 budget.spend()
-            code = (src_index * count + dst_index) * codes_per_pair
-            for shifted in shifted_tab:
-                for xi in (dst - shifted, dst + shifted):
-                    if xi:
-                        magnitude = xi if xi > 0 else -xi
-                        add_code(code)
-                        add_color(magnitude // (magnitude & -magnitude))
-                    code += 1
+        xi = dst + shifted[src_index, :, None] * signs
+        keep = xi != 0
+        keep[src_index] = False
+        magnitude = np.abs(xi[keep])
+        codes.append(row_codes[keep] + src_index * row_codes.size)
+        colors.append(magnitude // (magnitude & -magnitude))
+    color_array = np.concatenate(colors)
+    if wide:
+        costs = [digit_cost(color, representation) for color in color_array.tolist()]
+    elif representation == Representation.CSD:
+        costs = _popcount(color_array ^ (3 * color_array))
+    else:
+        costs = _popcount(color_array)
     graph = ColoredGraph.__new__(ColoredGraph)
     graph._index(
-        vertex_list, representation, max_shift, codes, colors,
-        lambda color: digit_cost(color, representation),
+        vertex_list, representation, max_shift,
+        np.concatenate(codes), color_array, costs,
     )
     return graph
+
+
+_BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
+
+def _popcount(values: np.ndarray) -> np.ndarray:
+    """Set bits of each non-negative int64 in ``values``, by a byte table."""
+    octets = np.ascontiguousarray(values, dtype=np.int64).view(np.uint8)
+    return _BYTE_POPCOUNT[octets].reshape(-1, 8).sum(axis=1)
 
 
 def _build_edges(
@@ -371,8 +396,8 @@ def _build_edges(
     :func:`build_colored_graph` to; production code never calls it.  Its
     graph holds every :class:`ColorEdge` from the start.  Digit
     costs are counted on the encodings themselves, not taken from the
-    closed-form :func:`~repro.numrep.digit_cost` the fused builder uses, so
-    the oracle shares no shortcut with the code it checks.
+    closed-form popcounts the array builder uses, so the oracle shares no
+    shortcut with the code it checks.
     """
     edges: List[ColorEdge] = []
     for src in vertex_list:

@@ -160,7 +160,8 @@ class SynthesisService:
         self._started = True
         # Jobs the store recovered as queued (including running jobs the
         # last process left behind) re-enter the queue before we accept
-        # new traffic — no accepted job is ever lost to a restart.
+        # new traffic — no accepted job is ever lost to a restart.  Jobs
+        # submitted before start() are already queued; the push skips them.
         for record in self.store.jobs_in(JobState.QUEUED):
             try:
                 self.queue.push(record.tenant, record.job_id)

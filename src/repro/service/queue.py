@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, Optional, Set
 
 from ..errors import ServiceError
 from ..obs import metrics as obs_metrics
@@ -60,6 +60,7 @@ class FairQueue:
         self._cond = threading.Condition()
         self._queues: Dict[str, Deque[str]] = {}
         self._rotation: Deque[str] = deque()  # tenants with queued work
+        self._held: Set[str] = set()  # job ids currently queued
         self._depth = 0
         self._closed = False
 
@@ -69,11 +70,15 @@ class FairQueue:
         """Enqueue ``job_id`` for ``tenant``; raises :class:`QueueFull`.
 
         Pushing to a closed (draining) queue also raises
-        :class:`QueueFull` — the caller maps that to "not admitting".
+        :class:`QueueFull` — the caller maps that to "not admitting".  A
+        job id the queue already holds is not queued twice: the push is a
+        no-op, so one job never takes two slots.
         """
         with self._cond:
             if self._closed:
                 raise QueueFull("queue is closed (service draining)")
+            if job_id in self._held:
+                return
             if self._depth >= self.max_depth:
                 raise QueueFull(
                     f"queue depth {self._depth} is at the limit "
@@ -95,6 +100,7 @@ class FairQueue:
             if not per_tenant:
                 self._rotation.append(tenant)
             per_tenant.append(job_id)
+            self._held.add(job_id)
             self._depth += 1
             self._set_depth_gauge()
             self._cond.notify()
@@ -124,6 +130,7 @@ class FairQueue:
             tenant = self._rotation.popleft()
             per_tenant = self._queues[tenant]
             job_id = per_tenant.popleft()
+            self._held.discard(job_id)
             if per_tenant:
                 self._rotation.append(tenant)
             else:

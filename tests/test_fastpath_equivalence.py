@@ -6,8 +6,9 @@ same edges in the same order, same enumerations, same costs, same budget
 charging — under hypothesis-randomized coefficient sets, wordlengths, and
 shift ranges:
 
-* :func:`~repro.graph.colored.build_colored_graph` (one fused pure-python
-  pass) against the edge-by-edge reference loop
+* :func:`~repro.graph.colored.build_colored_graph` (one numpy array pass
+  per source row, int64 or, for vertices wide enough to overflow it,
+  python-int object arrays) against the edge-by-edge reference loop
   :func:`~repro.graph.colored._build_edges`;
 * the popcount identity of :func:`~repro.numrep.csd_nonzero_count` against
   counting the digits of :func:`~repro.numrep.encode_csd`;
@@ -48,8 +49,9 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 ODD_VERTEX = st.integers(min_value=0, max_value=(1 << 22) - 1).map(
     lambda n: 2 * n + 1
 )
-# Odd vertices around 2**60, where a fixed-width int64 kernel would overflow
-# (``3 * xi`` past 2**63); a set mixing both draws straddles that bound.
+# Odd vertices around 2**60, where the int64 arrays would overflow (``3 *
+# xi`` past 2**63) and the builder works on python ints; a set mixing both
+# draws straddles that bound.
 WIDE_ODD_VERTEX = st.integers(min_value=1 << 56, max_value=1 << 61).map(
     lambda n: 2 * n + 1
 )
@@ -123,8 +125,13 @@ class TestGraphKernelEquivalence:
     @example([], 4, Representation.CSD)
     @example([45], 4, Representation.CSD)
     @example([(1 << 58) + 1, 3], 3, Representation.SM)
+    # max(v) << (max_shift + 3) just below 2**62 (int64 arrays) and just
+    # above it (python-int arrays).
+    @example([(1 << 56) - 1, 3], 3, Representation.CSD)
+    @example([(1 << 56) + 1, 3], 3, Representation.CSD)
     @settings(max_examples=60)
     def test_python_kernel_matches_reference(self, vertices, max_shift, rep):
+        """Any vertex set, narrow or wide, builds the reference graph."""
         reference = _build_edges(sorted(set(vertices)), max_shift, rep, None)
         assert_graphs_identical(
             reference, build_colored_graph(vertices, max_shift, rep)
@@ -137,8 +144,8 @@ class TestGraphKernelEquivalence:
     )
     @settings(max_examples=40)
     def test_numpy_kernel_matches_reference(self, vertices, max_shift, rep):
-        """Realistic (<= 24-bit) vertex sets, the inputs a vectorized int64
-        kernel was once used for, build the reference graph."""
+        """Realistic (<= 24-bit) vertex sets, which the builder takes
+        through its int64 arrays, build the reference graph."""
         vertex_list = sorted(set(vertices))
         reference = _build_edges(vertex_list, max_shift, rep, None)
         assert_graphs_identical(
@@ -146,8 +153,8 @@ class TestGraphKernelEquivalence:
         )
 
     def test_numpy_kernel_drops_to_python_past_int64(self):
-        """``3 * xi`` for these vertices overflows int64; the builder works
-        on python ints and must still match the reference exactly."""
+        """``3 * xi`` for these vertices overflows int64; the builder's
+        arrays hold python ints and must still match the reference exactly."""
         huge = [(1 << 61) + 1, 3]
         reference = _build_edges(sorted(huge), 2, Representation.CSD, None)
         assert_graphs_identical(
@@ -172,8 +179,8 @@ class TestGraphKernelEquivalence:
 class TestGraphBudgetEquivalence:
     VERTICES = [3, 5, 7, 9, 11]
 
-    def _spent_at_failure(self, builder):
-        budget = SolverBudget(max_nodes=4).start()
+    def _spent_at_failure(self, builder, max_nodes=4):
+        budget = SolverBudget(max_nodes=max_nodes).start()
         with pytest.raises(BudgetExceeded):
             builder(budget)
         return budget.nodes_used
@@ -187,6 +194,20 @@ class TestGraphBudgetEquivalence:
                 self.VERTICES, 4, Representation.CSD, budget=b
             )
         )
+        assert fused == reference
+
+    def test_charges_per_pair_when_budget_ends_mid_row(self):
+        """13 units run out inside the second source row of 9 vertices (8
+        pairs a row), where charging a whole row at once would overshoot."""
+        vertices = list(range(3, 21, 2))
+        reference = self._spent_at_failure(
+            lambda b: _build_edges(vertices, 4, Representation.CSD, b), 13
+        )
+        fused = self._spent_at_failure(
+            lambda b: build_colored_graph(vertices, 4, Representation.CSD, budget=b),
+            13,
+        )
+        assert reference % 8  # the failure lands inside a row
         assert fused == reference
 
     def test_sufficient_budget_builds_identical_graph(self):

@@ -34,6 +34,7 @@ from repro.service.app import (
     SynthesisService,
     make_server,
 )
+from repro.service.store import JobState
 
 SPEC = {"experiments": ["fig6"], "filters": [0], "wordlengths": [8]}
 OTHER_SPEC = {"experiments": ["fig6"], "filters": [1], "wordlengths": [8]}
@@ -342,6 +343,23 @@ class TestAdmission:
         assert status == 503
         assert body["error"] == "CircuitOpen"
         assert "Retry-After" in headers
+
+
+class TestStart:
+    def test_start_does_not_queue_held_jobs_twice(self, tmp_path):
+        config = ServiceConfig(data_dir=tmp_path / "data", port=0, max_queue_depth=3)
+        service = SynthesisService(config)
+        # No dispatcher pops, so depth shows exactly what start() queued.
+        service._dispatch_loop = lambda: None
+        service.submit(dict(SPEC))
+        service.submit(dict(OTHER_SPEC))
+        try:
+            assert service.queue.depth() == 2
+            service.start()
+            queued = {r.job_id for r in service.store.jobs_in(JobState.QUEUED)}
+            assert service.queue.depth() == len(queued) == 2
+        finally:
+            service.drain(grace_s=5.0)
 
 
 class TestArtifacts:

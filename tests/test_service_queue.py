@@ -76,6 +76,15 @@ class TestFairQueue:
         assert q.depth() == 3
         assert q.depth("a") == 2 and q.depth("b") == 1 and q.depth("c") == 0
 
+    def test_push_of_held_job_is_noop(self):
+        q = FairQueue(max_depth=1)
+        q.push("a", "1")
+        q.push("a", "1")  # already held: no second slot, no QueueFull
+        assert q.depth() == 1
+        assert q.pop(timeout=0.01) == "1"
+        q.push("a", "1")  # popped ids may be queued again
+        assert q.depth() == 1
+
     def test_closed_queue_rejects_push_and_stops_dispensing(self):
         q = FairQueue(max_depth=2)
         q.push("a", "1")
